@@ -5,8 +5,11 @@
 // Each configuration ships N unbounded-side producers from node A to
 // node B (so B dials back over the selected transport) and streams a
 // fixed total volume of i64 values split evenly across the channels.
-// The timed phase covers data movement only -- shipping, dial-backs and
-// stream handshakes happen before the clock starts.
+// Setup (node creation, then ship + receive + dial-back per channel) and
+// the data phase are timed apart.  The `growth` column is the median
+// receive time of the last quarter of channels over that of the first
+// quarter: about 1 when setup is linear, and rising with N when each
+// receive costs more than the one before it.
 //
 // What the table is expected to show (EXPERIMENTS.md):
 //   * blocking needs 2N file descriptors in-process (one TCP connection
@@ -28,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -42,6 +46,7 @@
 #include "processes/copy.hpp"
 #include "sched/scheduler.hpp"
 #include "support/error.hpp"
+#include "support/quarters.hpp"
 #include "support/stopwatch.hpp"
 
 namespace {
@@ -55,7 +60,9 @@ struct Outcome {
   bool completed = false;
   bool refused = false;    // scheduler thread cap
   bool skipped = false;    // fd budget (blocking backend)
-  double seconds = 0.0;
+  double setup_seconds = 0.0;
+  double receive_growth = 0.0;  // last-quarter / first-quarter median
+  double seconds = 0.0;         // data phase
   std::uint64_t connections = 0;  // mux: live shared connections
 };
 
@@ -84,6 +91,7 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
   }
 
   net::network_options().transport = transport;
+  const Stopwatch setup;
   auto node_a = dist::NodeContext::create();
   auto node_b = dist::NodeContext::create();
 
@@ -94,6 +102,8 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
 
   std::vector<std::shared_ptr<processes::CollectSink<std::int64_t>>> sinks;
   sinks.reserve(channels);
+  std::vector<double> receive_seconds;
+  receive_seconds.reserve(channels);
   for (std::size_t i = 0; i < channels; ++i) {
     auto ch = std::make_shared<core::Channel>(kCapacity);
     auto sink = std::make_shared<processes::CollectSink<std::int64_t>>();
@@ -106,9 +116,13 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
     // node A over the selected transport (one TCP connection per channel
     // on blocking; one logical stream on mux).
     const ByteVector shipment = dist::ship_process(node_a, source);
+    const Stopwatch receive;
     producers.add(
         dist::receive_process(node_b, {shipment.data(), shipment.size()}));
+    receive_seconds.push_back(receive.elapsed_seconds());
   }
+  outcome.setup_seconds = setup.elapsed_seconds();
+  outcome.receive_growth = quarter_growth(receive_seconds);
 
   Stopwatch watch;
   try {
@@ -168,7 +182,9 @@ void print_row(std::size_t channels, const char* transport,
   } else {
     const double mvals =
         static_cast<double>(kTotalValues) / outcome.seconds / 1e6;
-    std::printf("  %9.3fs  %8.2f Mval/s", outcome.seconds, mvals);
+    std::printf("  %9.3fs  %6.2f  %9.3fs  %8.2f Mval/s",
+                outcome.setup_seconds, outcome.receive_growth,
+                outcome.seconds, mvals);
     if (outcome.connections > 0) {
       std::printf("  %4llu conns",
                   static_cast<unsigned long long>(outcome.connections));
@@ -185,8 +201,8 @@ int main() {
   std::printf("mux_scale: %ld values split over N channels, one host pair "
               "(%u hardware threads, fd limit %ld)\n\n",
               kTotalValues, nproc, fd_limit());
-  std::printf("%8s  %-9s  %-11s  %10s\n", "channels", "transport",
-              "scheduler", "wall");
+  std::printf("%8s  %-9s  %-11s  %10s  %6s  %10s\n", "channels",
+              "transport", "scheduler", "setup", "growth", "data");
 
   sched::SchedulerOptions threads;  // kThreadPerProcess default
   sched::SchedulerOptions fibers;

@@ -27,9 +27,12 @@ std::shared_ptr<Channel> Network::make_channel(ChannelOptions options) {
 
 void Network::add_connected(std::shared_ptr<Process> process) {
   if (!process) return;  // slot wired the endpoint into an existing process
-  for (const auto& existing : processes_) {
-    if (existing == process) return;
+  // Index whatever was added since the last call, so graphs built with
+  // add() alone never pay for the set.
+  for (; indexed_ < processes_.size(); ++indexed_) {
+    registered_.insert(processes_[indexed_].get());
   }
+  if (registered_.contains(process.get())) return;
   add(std::move(process));
 }
 

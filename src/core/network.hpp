@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -198,6 +199,10 @@ class Network {
   void add_connected(std::shared_ptr<Process> process);
 
   std::vector<std::shared_ptr<Process>> processes_;
+  // The first indexed_ entries of processes_, for add_connected's O(1)
+  // dedup; filled lazily by add_connected itself.
+  std::unordered_set<const Process*> registered_;
+  std::size_t indexed_ = 0;
   std::vector<std::shared_ptr<ChannelState>> channels_;
   mutable std::mutex channels_mutex_;
 

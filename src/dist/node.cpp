@@ -245,16 +245,7 @@ NodeContext::NodeContext(std::string advertised_host)
   // NodeContext is being destroyed.
   rendezvous_.set_close_handler(
       [registry = credit_waiters_](std::uint64_t token) {
-        std::shared_ptr<FrameChannelOutput> waiter;
-        {
-          std::scoped_lock lock{registry->mutex};
-          const auto it = registry->waiters.find(token);
-          if (it != registry->waiters.end()) {
-            waiter = it->second.lock();
-            registry->waiters.erase(it);
-          }
-        }
-        if (waiter) {
+        if (const auto waiter = registry->take(token)) {
           log::debug("rendezvous: CLOSE wakes credit waiter for token ",
                      token);
           waiter->peer_closed();
@@ -280,62 +271,45 @@ std::shared_ptr<NodeContext> NodeContext::default_node() {
 
 void NodeContext::register_remote_stream(
     const std::shared_ptr<net::Stream>& stream) {
-  std::scoped_lock lock{streams_mutex_};
-  std::erase_if(remote_streams_,
-                [](const std::weak_ptr<net::Stream>& weak) {
-                  return weak.expired();
-                });
-  remote_streams_.push_back(stream);
+  remote_streams_.add(stream);
 }
 
 void NodeContext::abort_remote_channels() {
   aborting_.store(true, std::memory_order_release);
-  std::scoped_lock lock{streams_mutex_};
-  for (const auto& weak : remote_streams_) {
-    if (auto stream = weak.lock()) {
-      // shutdown (not close) so a concurrently blocked recv/send wakes
-      // without racing on descriptor reuse.
-      stream->shutdown_read();
-      stream->shutdown_write();
-    }
+  for (const auto& stream : remote_streams_.live()) {
+    // shutdown (not close) so a concurrently blocked recv/send wakes
+    // without racing on descriptor reuse.
+    stream->shutdown_read();
+    stream->shutdown_write();
   }
 }
 
 void NodeContext::park_stream(std::shared_ptr<net::Stream> stream) {
-  std::scoped_lock lock{streams_mutex_};
+  std::scoped_lock lock{parked_mutex_};
   parked_streams_.push_back(std::move(stream));
 }
 
 void NodeContext::register_credit_waiter(
     std::uint64_t token, const std::shared_ptr<FrameChannelOutput>& output) {
-  std::scoped_lock lock{credit_waiters_->mutex};
-  std::erase_if(credit_waiters_->waiters, [](const auto& entry) {
-    return entry.second.expired();
-  });
-  credit_waiters_->waiters[token] = output;
+  credit_waiters_->insert(token, output);
 }
 
 void NodeContext::register_remote_input(
     const std::shared_ptr<FrameChannelInput>& input) {
-  std::scoped_lock lock{streams_mutex_};
-  std::erase_if(remote_inputs_,
-                [](const std::weak_ptr<FrameChannelInput>& weak) {
-                  return weak.expired();
-                });
-  remote_inputs_.push_back(input);
+  remote_inputs_.add(input);
 }
 
 void NodeContext::grant_remote_credits() {
-  std::vector<std::shared_ptr<FrameChannelInput>> inputs;
-  {
-    std::scoped_lock lock{streams_mutex_};
-    for (const auto& weak : remote_inputs_) {
-      if (auto input = weak.lock()) inputs.push_back(std::move(input));
-    }
-  }
   const auto bonus = static_cast<std::uint32_t>(
       std::min<std::size_t>(remote_window(), ~std::uint32_t{0}));
-  for (const auto& input : inputs) input->grant_bonus_credits(bonus);
+  for (const auto& input : remote_inputs_.live()) {
+    input->grant_bonus_credits(bonus);
+  }
+}
+
+NodeContext::RegistrySizes NodeContext::registry_sizes() const {
+  return {remote_streams_.stored(), remote_inputs_.stored(),
+          credit_waiters_->stored()};
 }
 
 std::uint64_t NodeContext::next_token() {

@@ -8,7 +8,9 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
+#include "dist/weak_registry.hpp"
 #include "net/transport.hpp"
 #include "support/sync.hpp"
 
@@ -40,6 +42,9 @@
 /// tests and examples run "server A / B / C" topologies over real sockets
 /// on one machine.
 namespace dpn::dist {
+
+class FrameChannelInput;
+class FrameChannelOutput;
 
 /// Advertised rendezvous coordinates of some node.
 struct PeerAddress {
@@ -177,7 +182,10 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   const std::shared_ptr<TrafficStats>& traffic() const { return traffic_; }
 
   /// Registers a live remote-channel stream so abort_remote_channels()
-  /// can reach it.  Dead entries are pruned opportunistically.
+  /// can reach it.  The entry is weak; expired ones are swept once the
+  /// registry has doubled since its last sweep (see WeakRegistry), so
+  /// this is O(1) amortized and storage stays within twice the streams
+  /// alive at that sweep.
   void register_remote_stream(const std::shared_ptr<net::Stream>& stream);
 
   /// Shuts down every registered remote-channel stream, waking processes
@@ -204,22 +212,33 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   /// a TCP RST that destroys in-flight channel data at the consumer.
   void park_stream(std::shared_ptr<net::Stream> stream);
 
-  /// Registers a consumer-side remote segment for credit bonuses.
-  void register_remote_input(const std::shared_ptr<class FrameChannelInput>&
-                                 input);
+  /// Registers a consumer-side remote segment for credit bonuses.  Weak,
+  /// and pruned like register_remote_stream().
+  void register_remote_input(const std::shared_ptr<FrameChannelInput>& input);
 
   /// Registers the producer side of a remote segment under its rendezvous
   /// token so a consumer-side CLOSE notification (delivered out-of-band
   /// through this node's rendezvous listener) can wake a writer parked in
-  /// its credit wait.  Entries are weak; dead ones are pruned.
+  /// its credit wait.  Weak, and pruned like register_remote_stream(); a
+  /// CLOSE removes its token's entry.
   void register_credit_waiter(
       std::uint64_t token,
-      const std::shared_ptr<class FrameChannelOutput>& output);
+      const std::shared_ptr<FrameChannelOutput>& output);
 
   /// Grants one bonus window of credits on every live consumer-side
   /// segment of this node -- the distributed equivalent of growing a full
   /// channel's buffer (Parks' rule applied to a remote channel).
   void grant_remote_credits();
+
+  /// Entries held by each registry above, expired ones included.  For
+  /// tests and diagnostics: bounded by the pruning policy, not by the
+  /// number of channels this node has ever had.
+  struct RegistrySizes {
+    std::size_t streams = 0;
+    std::size_t inputs = 0;
+    std::size_t credit_waiters = 0;
+  };
+  RegistrySizes registry_sizes() const;
 
  private:
   explicit NodeContext(std::string advertised_host);
@@ -229,11 +248,7 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   /// it by value: the handler may still run while the NodeContext's later
   /// members are being destroyed (the acceptor joins only when rendezvous_
   /// itself is destroyed).
-  struct CreditWaiters {
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t,
-                       std::weak_ptr<class FrameChannelOutput>> waiters;
-  };
+  using CreditWaiters = WeakRegistry<FrameChannelOutput, /*Keyed=*/true>;
   std::shared_ptr<CreditWaiters> credit_waiters_ =
       std::make_shared<CreditWaiters>();
 
@@ -244,10 +259,10 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   std::shared_ptr<TrafficStats> traffic_ = std::make_shared<TrafficStats>();
   std::atomic<std::size_t> remote_window_{1u << 18};
   std::atomic<bool> aborting_{false};
-  std::mutex streams_mutex_;
-  std::vector<std::weak_ptr<net::Stream>> remote_streams_;
+  WeakRegistry<net::Stream> remote_streams_;
+  WeakRegistry<FrameChannelInput> remote_inputs_;
+  std::mutex parked_mutex_;
   std::vector<std::shared_ptr<net::Stream>> parked_streams_;
-  std::vector<std::weak_ptr<class FrameChannelInput>> remote_inputs_;
 };
 
 }  // namespace dpn::dist

@@ -85,6 +85,15 @@ void EventLoop::remove(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
+void EventLoop::unwatch(int fd) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+void EventLoop::forget(int fd, const Handler* handler) {
+  const auto it = handlers_.find(fd);
+  if (it != handlers_.end() && it->second == handler) handlers_.erase(it);
+}
+
 EventLoop::TimerId EventLoop::add_timer(std::chrono::milliseconds delay,
                                         std::function<void()> fn) {
   // An idle wheel's anchor is stale by however long epoll_wait slept

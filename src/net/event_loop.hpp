@@ -70,6 +70,16 @@ class EventLoop {
   /// run on the loop thread.
   void remove(int fd);
 
+  /// Stops epoll watching `fd`; safe from any thread.  A thread about to
+  /// close `fd` calls this first, so the close is ordered after the
+  /// loop's last use of the descriptor.  Events already collected may
+  /// still reach the handler until forget() runs on the loop thread.
+  void unwatch(int fd);
+
+  /// Drops `fd`'s handler after unwatch(), unless the number has since
+  /// been registered to another handler.  Must run on the loop thread.
+  void forget(int fd, const Handler* handler);
+
   /// Arms a one-shot timer ~`delay` from now (rounded up to a tick);
   /// `fn` runs on the loop thread.  Returns an id for cancel_timer.
   /// Must run on the loop thread.

@@ -112,9 +112,11 @@ struct FdWaiter final : EventLoop::Handler {
   bool ready = false;
   bool expired = false;
 
-  // Loop-thread-only state (written by the registration post, read by
-  // the unregister post; the loop serializes them).
+  // Written by the registration post before anything can set ready or
+  // expired, so the waiting caller may read `registered` once it wakes.
   bool registered = false;
+  // Loop-thread-only (set by the registration post, read by the
+  // unregister post; the loop serializes them).
   EventLoop::TimerId timer = 0;
 };
 
@@ -166,9 +168,13 @@ bool wait_fd_ready(int fd, bool want_write,
     }
     ready = waiter->ready;
   }
+  // Unwatch here rather than in the post: the caller may close `fd` as
+  // soon as this returns, and nothing would order that close against a
+  // DEL still queued on the loop.
+  if (waiter->registered) loop.unwatch(fd);
   loop.post([&loop, waiter, fd] {
     if (waiter->timer != 0) loop.cancel_timer(waiter->timer);
-    if (waiter->registered) loop.remove(fd);
+    if (waiter->registered) loop.forget(fd, waiter.get());
   });
   return ready;
 }

@@ -217,6 +217,30 @@ TEST(Network, PipelineTerminationByConsumerLimit) {
   for (int i = 0; i < 25; ++i) EXPECT_EQ(sink->values()[i], i + 1);
 }
 
+TEST(Network, ConnectRegistersARepeatedProcessOnce) {
+  // A process returned by several connect() slots (as it gathers
+  // endpoints), or already add()ed, is registered once; a slot returning
+  // nullptr has wired its endpoint elsewhere and registers nothing.
+  Network network;
+  auto sink = std::make_shared<CollectSink<std::int64_t>>();
+  std::shared_ptr<Collect> collect;
+  network.connect(
+      [&](auto out) {
+        auto source = std::make_shared<Sequence>(0, out, 10);
+        network.add(source);
+        return source;
+      },
+      [&](auto in) {
+        collect = std::make_shared<Collect>(in, sink);
+        return collect;
+      });
+  network.connect([&](auto) { return collect; },
+                  [](auto) { return nullptr; });
+  EXPECT_EQ(network.snapshot().processes.size(), 2u);
+  network.run();
+  EXPECT_EQ(sink->size(), 10u);
+}
+
 TEST(Network, StartTwiceThrows) {
   Network network;
   network.add(std::make_shared<Recorder>(1));

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <iostream>
 #include <thread>
 
 #include "core/network.hpp"
 #include "dist/node.hpp"
 #include "dist/remote_streams.hpp"
 #include "dist/ship.hpp"
+#include "dist/weak_registry.hpp"
 #include "io/data.hpp"
+#include "net/transport.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
 #include "processes/arith.hpp"
+#include "support/quarters.hpp"
 
 namespace dpn::dist {
 namespace {
@@ -73,6 +80,153 @@ TEST(Rendezvous, TokensAreUnique) {
   std::set<std::uint64_t> tokens;
   for (int i = 0; i < 1000; ++i) tokens.insert(node->next_token());
   EXPECT_EQ(tokens.size(), 1000u);
+}
+
+// --- Node registries ------------------------------------------------------------
+
+constexpr std::size_t kPruneSlack = WeakRegistry<int>::kMinPrune;
+
+TEST(WeakRegistry, StorageStaysWithinTwiceTheLiveEntries) {
+  // Every 271st entry is kept; the rest expire as soon as they are added.
+  WeakRegistry<int> registry;
+  std::vector<std::shared_ptr<int>> kept;
+  for (int i = 0; i < 10000; ++i) {
+    auto value = std::make_shared<int>(i);
+    registry.add(value);
+    if (i % 271 == 0) kept.push_back(value);
+    ASSERT_LE(registry.stored(), 2 * kept.size() + kPruneSlack) << i;
+  }
+  EXPECT_EQ(registry.live().size(), kept.size());
+}
+
+TEST(WeakRegistry, StorageShrinksAfterMostEntriesExpire) {
+  constexpr std::size_t kEntries = 5000;
+  constexpr std::size_t kKept = 7;
+  WeakRegistry<int> registry;
+  std::vector<std::shared_ptr<int>> held;
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    held.push_back(std::make_shared<int>(static_cast<int>(i)));
+    registry.add(held.back());
+  }
+  EXPECT_EQ(registry.stored(), kEntries);  // all live: nothing to prune
+  held.resize(kKept);
+  // The next sweep is due within kEntries inserts of short-lived values.
+  for (std::size_t i = 0; i < 2 * kEntries; ++i) {
+    registry.add(std::make_shared<int>(-1));
+  }
+  EXPECT_LE(registry.stored(), 2 * kKept + kPruneSlack);
+  const auto live = registry.live();
+  EXPECT_EQ(live.size(), kKept);
+  for (const auto& value : held) {
+    EXPECT_NE(std::find(live.begin(), live.end(), value), live.end());
+  }
+}
+
+TEST(WeakRegistry, TakeRemovesTheKeyedEntry) {
+  WeakRegistry<int, /*Keyed=*/true> registry;
+  auto value = std::make_shared<int>(5);
+  registry.insert(11, value);
+  registry.insert(12, std::make_shared<int>(6));  // expires at once
+  EXPECT_EQ(registry.take(11), value);
+  EXPECT_EQ(registry.take(11), nullptr);
+  EXPECT_EQ(registry.take(12), nullptr);  // expired, but still removed
+  EXPECT_EQ(registry.stored(), 0u);
+}
+
+/// A transport-free stream that records what reaches it.
+class RecordingStream final : public net::Stream {
+ public:
+  std::size_t read_some(MutableByteSpan) override { return 0; }
+  void write_all(ByteSpan data) override { written += data.size(); }
+  bool wait_readable(std::chrono::milliseconds) override { return true; }
+  void shutdown_write() override { write_shut = true; }
+  void shutdown_read() override { read_shut = true; }
+  void close() override {}
+  std::string peer_description() const override { return "recording"; }
+
+  std::atomic<std::size_t> written{0};
+  std::atomic<bool> read_shut{false};
+  std::atomic<bool> write_shut{false};
+};
+
+// Node-level registrations: 1000 entries, every 100th kept alive, so the
+// registries have pruned many times before the live ones are needed.
+constexpr int kRegistrations = 1000;
+constexpr int kKeepEvery = 100;
+
+TEST(NodeRegistries, AbortReachesEveryLiveStreamAfterPruning) {
+  auto node = NodeContext::create();
+  std::vector<std::shared_ptr<RecordingStream>> kept;
+  for (int i = 0; i < kRegistrations; ++i) {
+    auto stream = std::make_shared<RecordingStream>();
+    node->register_remote_stream(stream);
+    if (i % kKeepEvery == 0) kept.push_back(stream);
+  }
+  EXPECT_LE(node->registry_sizes().streams, 2 * kept.size() + kPruneSlack);
+  node->abort_remote_channels();
+  EXPECT_TRUE(node->aborting());
+  for (const auto& stream : kept) {
+    EXPECT_TRUE(stream->read_shut);
+    EXPECT_TRUE(stream->write_shut);
+  }
+}
+
+TEST(NodeRegistries, GrantReachesEveryLiveInputAfterPruning) {
+  auto node = NodeContext::create();
+  std::vector<std::shared_ptr<FrameChannelInput>> kept;
+  std::vector<std::shared_ptr<RecordingStream>> kept_streams;
+  for (int i = 0; i < kRegistrations; ++i) {
+    auto stream = std::make_shared<RecordingStream>();
+    auto input = std::make_shared<FrameChannelInput>(stream, node);
+    node->register_remote_input(input);
+    if (i % kKeepEvery == 0) {
+      kept.push_back(input);
+      kept_streams.push_back(stream);
+    }
+  }
+  EXPECT_LE(node->registry_sizes().inputs, 2 * kept.size() + kPruneSlack);
+  node->grant_remote_credits();
+  for (const auto& stream : kept_streams) {
+    EXPECT_GT(stream->written.load(), 0u);  // one CREDIT frame each
+  }
+}
+
+TEST(NodeRegistries, CloseWakesAndRemovesItsCreditWaiter) {
+  auto node = NodeContext::create();
+  std::vector<std::shared_ptr<FrameChannelOutput>> kept;
+  std::vector<std::shared_ptr<RecordingStream>> kept_streams;
+  std::vector<std::uint64_t> kept_tokens;
+  for (int i = 0; i < kRegistrations; ++i) {
+    auto stream = std::make_shared<RecordingStream>();
+    auto output = std::make_shared<FrameChannelOutput>(stream, PeerAddress{},
+                                                       node);
+    const std::uint64_t token = node->next_token();
+    node->register_credit_waiter(token, output);
+    if (i % kKeepEvery == 0) {
+      kept.push_back(output);
+      kept_streams.push_back(stream);
+      kept_tokens.push_back(token);
+    }
+  }
+  const std::size_t stored = node->registry_sizes().credit_waiters;
+  EXPECT_LE(stored, 2 * kept.size() + kPruneSlack);
+
+  // peer_closed() shuts the waiter's receive side down; the handler
+  // removes the entry before it calls peer_closed().
+  constexpr std::size_t kTarget = 3;
+  auto notification = RendezvousService::send_close(
+      "127.0.0.1", node->rendezvous().port(), kept_tokens[kTarget]);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{30};
+  while (!kept_streams[kTarget]->read_shut &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  ASSERT_TRUE(kept_streams[kTarget]->read_shut);
+  EXPECT_EQ(node->registry_sizes().credit_waiters, stored - 1);
+  for (std::size_t i = 0; i < kept_streams.size(); ++i) {
+    EXPECT_EQ(kept_streams[i]->read_shut.load(), i == kTarget) << i;
+  }
 }
 
 // --- Shipping a process across a cut channel -----------------------------------
@@ -425,6 +579,79 @@ TEST(Ship, DistributedFibonacciMatchesLocal) {
     y = next;
   }
   EXPECT_EQ(sink->values(), expected);
+}
+
+// --- Setup scaling ---------------------------------------------------------------
+
+/// Ships `sources` one-token sources from one node to another over mux,
+/// runs the graph, checks every sink, and returns each receive's time in
+/// microseconds, in order.
+std::vector<double> receive_times_over_mux(std::size_t sources) {
+  struct TransportGuard {
+    net::TransportKind saved = net::network_options().transport;
+    ~TransportGuard() { net::network_options().transport = saved; }
+  } guard;
+  net::network_options().transport = net::TransportKind::kMux;
+
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  sched::SchedulerOptions fibers;
+  fibers.mode = sched::SchedMode::kWorkSteal;
+  fibers.workers = 2;
+  fibers.stack_kb = 32;
+  core::Network consumers;
+  core::Network producers;
+  consumers.set_scheduler(fibers);
+  producers.set_scheduler(fibers);
+
+  std::vector<std::shared_ptr<CollectSink<std::int64_t>>> sinks;
+  std::vector<double> receive_us;
+  for (std::size_t i = 0; i < sources; ++i) {
+    auto channel = std::make_shared<Channel>(64);
+    auto sink = std::make_shared<CollectSink<std::int64_t>>();
+    consumers.add(std::make_shared<Collect>(channel->input(), sink));
+    sinks.push_back(sink);
+    auto source = std::make_shared<Sequence>(static_cast<std::int64_t>(i),
+                                             channel->output(), 1);
+    const ByteVector shipment = ship_process(node_a, source);
+    const auto start = std::chrono::steady_clock::now();
+    producers.add(receive_process(node_b, {shipment.data(), shipment.size()}));
+    receive_us.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+  }
+
+  std::jthread remote{[&] { producers.run(); }};
+  consumers.run();
+  remote.join();
+  for (std::size_t i = 0; i < sources; ++i) {
+    EXPECT_EQ(sinks[i]->values(),
+              std::vector<std::int64_t>{static_cast<std::int64_t>(i)});
+  }
+  return receive_us;
+}
+
+TEST(SetupScaling, ReceiveTimeStaysFlatOverShippedSources) {
+  // Regression guard for quadratic graph setup: when every receive swept
+  // the node registries, the last quarter of 4096 receives ran ~10x
+  // slower than the first.  Linear setup keeps the ratio near 1.  A load
+  // spike from a parallel test can inflate one quarter on its own, so the
+  // best of up to three runs is judged; quadratic setup fails all three.
+  constexpr std::size_t kSources = 4096;
+  constexpr int kRuns = 3;
+  double best = 0.0;
+  for (int run = 0; run < kRuns; ++run) {
+    const std::vector<double> receive_us = receive_times_over_mux(kSources);
+    if (HasFailure()) return;
+    const double growth = quarter_growth(receive_us);
+    std::cout << "run " << run << ": receive p50 first quarter "
+              << quarter_median(receive_us, 0) << " us, last quarter "
+              << quarter_median(receive_us, 3) << " us\n";
+    best = run == 0 ? growth : std::min(best, growth);
+    if (best <= 3.0) break;
+  }
+  EXPECT_LE(best, 3.0) << "best last/first quarter receive-time ratio of "
+                       << kRuns << " runs";
 }
 
 }  // namespace
