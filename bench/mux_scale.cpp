@@ -1,10 +1,9 @@
 // Scaling curve for the mux transport (DESIGN.md section 8): N logical
-// channels between one host pair, blocking vs mux backend, thread vs
-// M:N scheduler.
+// channels between one host pair, thread vs M:N scheduler.
 //
 // Each configuration ships N unbounded-side producers from node A to
-// node B (so B dials back over the selected transport) and streams a
-// fixed total volume of i64 values split evenly across the channels.
+// node B (so B dials back over mux) and streams a fixed total volume of
+// i64 values split evenly across the channels.
 // Setup (node creation, then ship + receive + dial-back per channel) and
 // the data phase are timed apart.  The `growth` column is the median
 // receive time of the last quarter of channels over that of the first
@@ -12,22 +11,15 @@
 // receive costs more than the one before it.
 //
 // What the table is expected to show (EXPERIMENTS.md):
-//   * blocking needs 2N file descriptors in-process (one TCP connection
-//     per channel), so rows above the RLIMIT_NOFILE budget are skipped
-//     -- that refusal is the point: mux runs the same row on ONE
-//     connection per host pair (the `conns` column prints the live mux
-//     connection count).
+//   * every row runs on ONE connection per host pair (the `conns` column
+//     prints the live mux connection count), so 50k channels need no
+//     more descriptors than 100.
 //   * thread-per-process refuses rows above its thread cap; the M:N
 //     rows carry the 50k-channel sweep.
-//   * at moderate widths (~1k channels) mux throughput stays within
-//     ~20% of the blocking backend: the shared connection adds frame
-//     headers and one reactor hop, but removes per-channel syscall
-//     fan-out.
 //
-// Runs in a forked child per configuration so fd exhaustion or a
-// refused scheduler cannot poison the next row.
+// Runs in a forked child per configuration so a refused scheduler or a
+// crash cannot poison the next row.
 
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -41,7 +33,6 @@
 #include "dist/node.hpp"
 #include "dist/ship.hpp"
 #include "net/mux.hpp"
-#include "net/transport.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
 #include "sched/scheduler.hpp"
@@ -59,23 +50,15 @@ constexpr std::size_t kCapacity = 256;
 struct Outcome {
   bool completed = false;
   bool refused = false;    // scheduler thread cap
-  bool skipped = false;    // fd budget (blocking backend)
   double setup_seconds = 0.0;
   double receive_growth = 0.0;  // last-quarter / first-quarter median
   double seconds = 0.0;         // data phase
-  std::uint64_t connections = 0;  // mux: live shared connections
+  std::uint64_t connections = 0;  // live shared mux connections
 };
 
-long fd_limit() {
-  rlimit lim{};
-  if (getrlimit(RLIMIT_NOFILE, &lim) != 0) return -1;
-  return static_cast<long>(lim.rlim_cur);
-}
-
-/// Runs one configuration.  Called in a forked child: transport choice,
-/// node contexts and the mux event loop are all process-local.
-Outcome run_config(std::size_t channels, net::TransportKind transport,
-                   sched::SchedulerOptions sched) {
+/// Runs one configuration.  Called in a forked child: node contexts and
+/// the mux event loops are all process-local.
+Outcome run_config(std::size_t channels, sched::SchedulerOptions sched) {
   Outcome outcome;
   const long per_channel = std::max<long>(1, kTotalValues / channels);
 
@@ -84,13 +67,6 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
     outcome.refused = true;  // skip the 50k-thread build entirely
     return outcome;
   }
-  if (transport == net::TransportKind::kBlocking &&
-      static_cast<long>(channels) * 2 + 64 > fd_limit()) {
-    outcome.skipped = true;  // both TCP ends live in this process
-    return outcome;
-  }
-
-  net::network_options().transport = transport;
   const Stopwatch setup;
   auto node_a = dist::NodeContext::create();
   auto node_b = dist::NodeContext::create();
@@ -113,8 +89,7 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
     sinks.push_back(std::move(sink));
 
     // Shipping moves the output endpoint to node B, which dials back to
-    // node A over the selected transport (one TCP connection per channel
-    // on blocking; one logical stream on mux).
+    // node A: one logical stream over the shared connection.
     const ByteVector shipment = dist::ship_process(node_a, source);
     const Stopwatch receive;
     producers.add(
@@ -145,14 +120,13 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
   return outcome;
 }
 
-Outcome run_isolated(std::size_t channels, net::TransportKind transport,
-                     sched::SchedulerOptions sched) {
+Outcome run_isolated(std::size_t channels, sched::SchedulerOptions sched) {
   int fds[2];
   if (pipe(fds) != 0) throw IoError{"bench pipe failed"};
   const pid_t child = fork();
   if (child == 0) {
     close(fds[0]);
-    const Outcome outcome = run_config(channels, transport, sched);
+    const Outcome outcome = run_config(channels, sched);
     ssize_t ignored = write(fds[1], &outcome, sizeof outcome);
     (void)ignored;
     close(fds[1]);
@@ -170,13 +144,11 @@ Outcome run_isolated(std::size_t channels, net::TransportKind transport,
   return outcome;
 }
 
-void print_row(std::size_t channels, const char* transport,
-               const char* scheduler, const Outcome& outcome) {
-  std::printf("%8zu  %-9s  %-11s", channels, transport, scheduler);
+void print_row(std::size_t channels, const char* scheduler,
+               const Outcome& outcome) {
+  std::printf("%8zu  %-11s", channels, scheduler);
   if (outcome.refused) {
     std::printf("  %10s\n", "refused");
-  } else if (outcome.skipped) {
-    std::printf("  %10s\n", "fd-limit");
   } else if (!outcome.completed) {
     std::printf("  %10s\n", "FAILED");
   } else {
@@ -199,10 +171,10 @@ void print_row(std::size_t channels, const char* transport,
 int main() {
   const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
   std::printf("mux_scale: %ld values split over N channels, one host pair "
-              "(%u hardware threads, fd limit %ld)\n\n",
-              kTotalValues, nproc, fd_limit());
-  std::printf("%8s  %-9s  %-11s  %10s  %6s  %10s\n", "channels",
-              "transport", "scheduler", "setup", "growth", "data");
+              "(%u hardware threads)\n\n",
+              kTotalValues, nproc);
+  std::printf("%8s  %-11s  %10s  %6s  %10s\n", "channels", "scheduler",
+              "setup", "growth", "data");
 
   sched::SchedulerOptions threads;  // kThreadPerProcess default
   sched::SchedulerOptions fibers;
@@ -211,15 +183,8 @@ int main() {
   fibers.stack_kb = 32;
 
   for (const std::size_t channels : {100u, 1000u, 10000u, 50000u}) {
-    for (const auto transport :
-         {net::TransportKind::kBlocking, net::TransportKind::kMux}) {
-      const char* label =
-          transport == net::TransportKind::kMux ? "mux" : "blocking";
-      print_row(channels, label, "threads",
-                run_isolated(channels, transport, threads));
-      print_row(channels, label, "work-steal",
-                run_isolated(channels, transport, fibers));
-    }
+    print_row(channels, "threads", run_isolated(channels, threads));
+    print_row(channels, "work-steal", run_isolated(channels, fibers));
   }
   return 0;
 }

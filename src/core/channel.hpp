@@ -52,18 +52,14 @@ struct ChannelOptions {
   /// Tuning applied if/when an endpoint of this channel is shipped to
   /// another server (ignored while the channel stays local):
   ///
-  ///   make_channel({.label = "bulk",
-  ///                 .remote = {.credit_window = 1 << 20,
-  ///                            .coalesce_bytes = 64 << 10}});
+  ///   make_channel({.label = "bulk", .remote = {.credit_window = 1 << 20}});
   ///
   /// credit_window is the producer's flow-control window in bytes -- the
-  /// remote channel's "capacity" -- and, on the mux backend, the logical
-  /// stream's receive window.  coalesce_bytes is the consumer-side credit
-  /// batching threshold (grants below it ride along instead of costing a
-  /// frame each).  0 means the node / transport default.
+  /// remote channel's "capacity", which is the credit window of the
+  /// transport stream carrying it.  0 means the producer node's
+  /// NodeContext::remote_window().
   struct RemoteTuning {
     std::size_t credit_window = 0;
-    std::size_t coalesce_bytes = 0;
   } remote;
 };
 

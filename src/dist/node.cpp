@@ -15,7 +15,6 @@ namespace dpn::dist {
 namespace {
 
 constexpr std::uint32_t kHelloMagic = 0x44504e43;  // "DPNC"
-constexpr std::uint32_t kCloseMagic = 0x44504e58;  // "DPNX"
 
 /// HELLO: magic, token, dialer rendezvous host + port.
 void write_hello(net::Stream& stream, std::uint64_t token,
@@ -47,24 +46,15 @@ class StreamReader final : public io::InputStream {
 struct Hello {
   std::uint64_t token = 0;
   PeerAddress dialer;
-  bool close = false;  // a CLOSE notification, not a channel handshake
 };
 
 Hello read_hello(net::Stream& stream) {
   auto reader = std::make_shared<StreamReader>(stream);
   io::DataInputStream data{reader};
-  const std::uint32_t magic = data.read_u32();
-  Hello hello;
-  if (magic == kCloseMagic) {
-    // CLOSE: magic, token.  Out-of-band "the consumer bound to this token
-    // entered teardown" -- no dialer address, no stream handoff.
-    hello.token = data.read_u64();
-    hello.close = true;
-    return hello;
-  }
-  if (magic != kHelloMagic) {
+  if (data.read_u32() != kHelloMagic) {
     throw NetError{"rendezvous: bad HELLO magic"};
   }
+  Hello hello;
   hello.token = data.read_u64();
   hello.dialer.host = data.read_string();
   hello.dialer.port = data.read_u16();
@@ -167,25 +157,6 @@ std::shared_ptr<net::Stream> RendezvousService::dial(const std::string& host,
   return stream;
 }
 
-std::shared_ptr<net::Stream> RendezvousService::send_close(
-    const std::string& host, std::uint16_t port, std::uint64_t token) {
-  auto stream = net::default_transport().dial(host, port);
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  io::DataOutputStream data{sink};
-  data.write_u32(kCloseMagic);
-  data.write_u64(token);
-  const ByteVector& bytes = sink->data();
-  stream->write_all({bytes.data(), bytes.size()});
-  stream->shutdown_write();
-  return stream;
-}
-
-void RendezvousService::set_close_handler(
-    std::function<void(std::uint64_t)> handler) {
-  std::scoped_lock lock{mutex_};
-  close_handler_ = std::move(handler);
-}
-
 void RendezvousService::accept_loop() {
   for (;;) {
     std::shared_ptr<net::Stream> stream;
@@ -197,15 +168,6 @@ void RendezvousService::accept_loop() {
     }
     try {
       const Hello hello = read_hello(*stream);
-      if (hello.close) {
-        std::function<void(std::uint64_t)> handler;
-        {
-          std::scoped_lock lock{mutex_};
-          handler = close_handler_;
-        }
-        if (handler) handler(hello.token);
-        continue;  // notification only; the stream carries nothing else
-      }
       std::shared_ptr<StreamPromise> promise;
       {
         std::scoped_lock lock{mutex_};
@@ -239,21 +201,7 @@ std::uint64_t random_seed() {
 }  // namespace
 
 NodeContext::NodeContext(std::string advertised_host)
-    : host_(std::move(advertised_host)), token_state_(random_seed()) {
-  // The handler captures only the shared registry, never `this`: the
-  // acceptor can still be dispatching a late CLOSE while the rest of this
-  // NodeContext is being destroyed.
-  rendezvous_.set_close_handler(
-      [registry = credit_waiters_](std::uint64_t token) {
-        if (const auto waiter = registry->take(token)) {
-          log::debug("rendezvous: CLOSE wakes credit waiter for token ",
-                     token);
-          waiter->peer_closed();
-        } else {
-          log::debug("rendezvous: CLOSE for unknown token ", token);
-        }
-      });
-}
+    : host_(std::move(advertised_host)), token_state_(random_seed()) {}
 
 std::shared_ptr<NodeContext> NodeContext::create(std::string advertised_host) {
   // Installs the channel-endpoint serialization hooks on first use.
@@ -284,16 +232,6 @@ void NodeContext::abort_remote_channels() {
   }
 }
 
-void NodeContext::park_stream(std::shared_ptr<net::Stream> stream) {
-  std::scoped_lock lock{parked_mutex_};
-  parked_streams_.push_back(std::move(stream));
-}
-
-void NodeContext::register_credit_waiter(
-    std::uint64_t token, const std::shared_ptr<FrameChannelOutput>& output) {
-  credit_waiters_->insert(token, output);
-}
-
 void NodeContext::register_remote_input(
     const std::shared_ptr<FrameChannelInput>& input) {
   remote_inputs_.add(input);
@@ -308,8 +246,7 @@ void NodeContext::grant_remote_credits() {
 }
 
 NodeContext::RegistrySizes NodeContext::registry_sizes() const {
-  return {remote_streams_.stored(), remote_inputs_.stored(),
-          credit_waiters_->stored()};
+  return {remote_streams_.stored(), remote_inputs_.stored()};
 }
 
 std::uint64_t NodeContext::next_token() {

@@ -1,14 +1,13 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "dist/weak_registry.hpp"
 #include "net/transport.hpp"
@@ -33,10 +32,9 @@
 ///   * the rendezvous acceptor matches the token and hands the stream to
 ///     the waiting endpoint.
 ///
-/// All connections go through net::Transport (NetworkOptions::transport
-/// picks the backend), so on the mux backend every channel between a host
-/// pair shares one TCP connection and the rendezvous "dial" is just a new
-/// logical stream.
+/// All connections go through net::default_transport(), so every channel
+/// between a host pair shares one TCP connection and the rendezvous
+/// "dial" is just a new logical stream.
 ///
 /// Multiple NodeContexts may coexist in one OS process, which is how the
 /// tests and examples run "server A / B / C" topologies over real sockets
@@ -44,7 +42,6 @@
 namespace dpn::dist {
 
 class FrameChannelInput;
-class FrameChannelOutput;
 
 /// Advertised rendezvous coordinates of some node.
 struct PeerAddress {
@@ -103,28 +100,14 @@ class RendezvousService {
 
   /// Dials a remote rendezvous and performs the HELLO handshake.
   /// `self` is this node's own rendezvous address, told to the peer.
-  /// `stream_window` tunes the mux backend's per-stream credit window
-  /// (0 = transport default; ignored by the blocking backend).
+  /// `stream_window` is the new stream's credit window in both
+  /// directions -- for a channel segment, its producer's window
+  /// (0 = transport default).
   static std::shared_ptr<net::Stream> dial(const std::string& host,
                                            std::uint16_t port,
                                            std::uint64_t token,
                                            const PeerAddress& self,
                                            std::size_t stream_window = 0);
-
-  /// Dials a remote rendezvous and delivers a CLOSE notification for
-  /// `token`: "the consumer bound to this token has entered teardown".
-  /// Single attempt, no retry -- this is a courtesy wakeup, not data.
-  /// Returns the stream so the caller can park it (dropping it
-  /// immediately could reset the message out of existence on the mux
-  /// backend before the acceptor reads it).
-  static std::shared_ptr<net::Stream> send_close(const std::string& host,
-                                                 std::uint16_t port,
-                                                 std::uint64_t token);
-
-  /// Installs the handler the acceptor invokes for each CLOSE
-  /// notification (NodeContext routes it to the registered credit
-  /// waiter).  Call once, before any peer learns this node's port.
-  void set_close_handler(std::function<void(std::uint64_t)> handler);
 
  private:
   void accept_loop();
@@ -138,7 +121,6 @@ class RendezvousService {
   std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<StreamPromise>> pending_;
   std::unordered_map<std::uint64_t, Parked> parked_;
-  std::function<void(std::uint64_t)> close_handler_;
   std::jthread acceptor_;
   std::atomic<bool> shutting_down_{false};
 };
@@ -202,28 +184,16 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   /// Flow-control window (bytes) that remote producers writing *from*
   /// this node start with, and the bonus this node's consumers grant when
   /// the distributed deadlock detector orders a window grow.  Remote
-  /// channels are bounded (Section 3.5 across machines); the default is
-  /// generous enough that healthy graphs never notice.
+  /// channels are bounded (Section 3.5 across machines) by their stream's
+  /// credit window, which takes this value when the stream opens (see
+  /// dist/remote_streams.hpp); the default is generous enough that
+  /// healthy graphs never notice.
   std::size_t remote_window() const { return remote_window_.load(); }
   void set_remote_window(std::size_t bytes) { remote_window_.store(bytes); }
-
-  /// Keeps a half-closed producer-side stream alive until this node is
-  /// destroyed.  Closing it earlier could turn unread credit frames into
-  /// a TCP RST that destroys in-flight channel data at the consumer.
-  void park_stream(std::shared_ptr<net::Stream> stream);
 
   /// Registers a consumer-side remote segment for credit bonuses.  Weak,
   /// and pruned like register_remote_stream().
   void register_remote_input(const std::shared_ptr<FrameChannelInput>& input);
-
-  /// Registers the producer side of a remote segment under its rendezvous
-  /// token so a consumer-side CLOSE notification (delivered out-of-band
-  /// through this node's rendezvous listener) can wake a writer parked in
-  /// its credit wait.  Weak, and pruned like register_remote_stream(); a
-  /// CLOSE removes its token's entry.
-  void register_credit_waiter(
-      std::uint64_t token,
-      const std::shared_ptr<FrameChannelOutput>& output);
 
   /// Grants one bonus window of credits on every live consumer-side
   /// segment of this node -- the distributed equivalent of growing a full
@@ -236,21 +206,11 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   struct RegistrySizes {
     std::size_t streams = 0;
     std::size_t inputs = 0;
-    std::size_t credit_waiters = 0;
   };
   RegistrySizes registry_sizes() const;
 
  private:
   explicit NodeContext(std::string advertised_host);
-
-  /// token -> producer endpoint awaiting that token's consumer.  Lives in
-  /// a shared_ptr because the rendezvous acceptor's close handler captures
-  /// it by value: the handler may still run while the NodeContext's later
-  /// members are being destroyed (the acceptor joins only when rendezvous_
-  /// itself is destroyed).
-  using CreditWaiters = WeakRegistry<FrameChannelOutput, /*Keyed=*/true>;
-  std::shared_ptr<CreditWaiters> credit_waiters_ =
-      std::make_shared<CreditWaiters>();
 
   std::string host_;
   RendezvousService rendezvous_;
@@ -261,8 +221,6 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   std::atomic<bool> aborting_{false};
   WeakRegistry<net::Stream> remote_streams_;
   WeakRegistry<FrameChannelInput> remote_inputs_;
-  std::mutex parked_mutex_;
-  std::vector<std::shared_ptr<net::Stream>> parked_streams_;
 };
 
 }  // namespace dpn::dist

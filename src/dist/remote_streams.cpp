@@ -1,7 +1,6 @@
 #include "dist/remote_streams.hpp"
 
 #include <atomic>
-#include <cstring>
 
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
@@ -11,24 +10,20 @@ namespace dpn::dist {
 
 FrameChannelInput::FrameChannelInput(std::shared_ptr<net::Stream> stream,
                                      std::shared_ptr<NodeContext> node,
-                                     std::uint32_t credit_batch,
-                                     PeerAddress producer,
-                                     std::uint64_t close_token)
+                                     PeerAddress producer)
     : node_(std::move(node)), stream_(std::move(stream)),
-      producer_addr_(std::move(producer)), close_token_(close_token),
-      credit_batch_(credit_batch != 0 ? credit_batch : kCreditBatch) {
+      producer_addr_(std::move(producer)) {
   if (node_) node_->register_remote_stream(stream_);
-  reader_.emplace(std::make_shared<net::StreamInput>(stream_));
+  input_ = std::make_shared<net::StreamInput>(stream_);
+  reader_.emplace(input_);
 }
 
 FrameChannelInput::FrameChannelInput(std::shared_ptr<StreamPromise> promise,
                                      std::uint64_t token,
-                                     std::shared_ptr<NodeContext> node,
-                                     std::uint32_t credit_batch)
+                                     std::shared_ptr<NodeContext> node)
     : node_(std::move(node)),
       promise_(std::move(promise)),
-      pending_token_(token),
-      credit_batch_(credit_batch != 0 ? credit_batch : kCreditBatch) {}
+      pending_token_(token) {}
 
 namespace {
 
@@ -53,123 +48,122 @@ class BlockedScope {
 
 void FrameChannelInput::ensure_connected() {
   if (reader_) return;
-  stream_ = promise_->wait();
-  // The producer's HELLO told us its rendezvous; its credit waiter is
-  // registered under the token it dialed with -- exactly what an early
-  // close() needs to deliver the out-of-band CLOSE.
-  producer_addr_ = promise_->dialer();
-  close_token_ = pending_token_;
-  promise_.reset();
-  if (node_) node_->register_remote_stream(stream_);
-  reader_.emplace(std::make_shared<net::StreamInput>(stream_));
+  std::shared_ptr<StreamPromise> promise;
+  {
+    std::scoped_lock lock{mutex_};
+    promise = promise_;
+  }
+  std::shared_ptr<net::Stream> stream = promise->wait();
+  {
+    std::scoped_lock lock{mutex_};
+    stream_ = stream;
+    promise_.reset();
+  }
+  // The producer's HELLO told us its rendezvous.
+  producer_addr_ = promise->dialer();
+  if (node_) node_->register_remote_stream(stream);
+  input_ = std::make_shared<net::StreamInput>(stream);
+  reader_.emplace(input_);
+  // A close() that raced the handoff found no stream to reset.
+  if (closed_.load()) stream->close();
+}
+
+std::size_t FrameChannelInput::receive(MutableByteSpan out) {
+  try {
+    const std::size_t n = input_->read_some(out);
+    if (n == 0) throw EndOfStream{"transport ended mid-frame"};
+    return n;
+  } catch (const IoError& e) {
+    producer_lost(e);
+  }
+}
+
+void FrameChannelInput::producer_lost(const IoError& e) {
+  // A producer that finishes sends FIN before its transport goes away, so
+  // a stream dying mid-frame means the producer was *lost*, not done.
+  // Locally-closed reads (our own close()/abort woke us via shutdown)
+  // keep the quiet IoError stop; everything else surfaces as WorkerLost,
+  // which IterativeProcess::run does NOT swallow -- the application sees
+  // the fault instead of a silently truncated history (docs/FAULTS.md).
+  if (closed_.load() || (node_ && node_->aborting())) throw;
+  obs::flight_record_named(obs::FlightKind::kWorkerLost, producer_addr_.host);
+  // One post-mortem per process is plenty: a lost worker can fail many
+  // streams at once and each would otherwise write its own dump file.
+  static std::atomic<bool> dumped{false};
+  if (!dumped.exchange(true)) {
+    const std::string dump = obs::flight_dump("worker-lost");
+    if (!dump.empty()) {
+      log::warn("remote stream: flight dump written to ", dump);
+    }
+  }
+  throw WorkerLost{std::string{"remote producer lost mid-stream: "} +
+                   e.what()};
+}
+
+bool FrameChannelInput::next_frame() {
+  net::FrameHeader header;
+  try {
+    ensure_connected();
+    header = reader_->read_header();
+  } catch (const IoError& e) {
+    producer_lost(e);
+  }
+  const auto read_payload = [&](MutableByteSpan out) {
+    for (std::size_t got = 0; got < out.size();) {
+      got += receive(out.subspan(got));
+    }
+  };
+  switch (header.type) {
+    case net::FrameType::kData:
+      payload_left_ = header.length;
+      return true;
+    case net::FrameType::kDataTraced: {
+      // Data frame carrying the trace-context extension: peel the 17
+      // context bytes, adopt the context as this thread's ambient one
+      // (spans recorded downstream chain to it), and mark the arrival --
+      // same span id as the producer's kNetSend, which is what the
+      // exporter turns into a cross-host flow arrow.
+      if (header.length < obs::TraceContext::kWireSize) {
+        throw IoError{"traced data frame shorter than its context"};
+      }
+      std::uint8_t ctx_bytes[obs::TraceContext::kWireSize];
+      read_payload({ctx_bytes, sizeof ctx_bytes});
+      const auto ctx = obs::TraceContext::decode(ctx_bytes);
+      obs::current_trace_context() = ctx;
+      payload_left_ = header.length - obs::TraceContext::kWireSize;
+      DPN_TRACE_EVENT(obs::TraceKind::kNetRecv, "data", ctx.span_id,
+                      payload_left_);
+      return true;
+    }
+    case net::FrameType::kFin:
+      eof_ = true;
+      return false;
+    case net::FrameType::kRedirect: {
+      ByteVector payload(header.length);
+      read_payload({payload.data(), payload.size()});
+      handle_redirect(
+          net::RedirectInfo::decode({payload.data(), payload.size()}));
+      return true;
+    }
+  }
+  throw IoError{"unexpected frame type on a remote channel"};
 }
 
 std::size_t FrameChannelInput::read_some(MutableByteSpan out) {
   if (out.empty()) return 0;
   if (closed_.load()) throw IoError{"read from closed remote channel"};
-  for (;;) {
-    if (position_ < buffer_.size()) {
-      const std::size_t n = std::min(out.size(), buffer_.size() - position_);
-      std::memcpy(out.data(), buffer_.data() + position_, n);
-      position_ += n;
-      // Consumption frees window.  Small grants coalesce instead of
-      // costing a credit frame (header + syscall) each; they travel once
-      // they amount to a useful batch, or -- below -- just before this
-      // consumer blocks on the stream.
-      pending_credit_ += static_cast<std::uint32_t>(n);
-      if (pending_credit_ >= credit_batch_) {
-        send_credit(pending_credit_);
-        pending_credit_ = 0;
-      }
-      return n;
-    }
-    if (eof_) return 0;
-    // About to block for the next frame: flush withheld credits first.
-    // The producer may need them to make the very progress we wait for
-    // (windows as small as one byte are legal), so nothing may be held
-    // back past this point.
-    if (pending_credit_ > 0) {
-      send_credit(pending_credit_);
-      pending_credit_ = 0;
-    }
-    TrafficStats* stats = node_ ? node_->traffic().get() : nullptr;
-    net::Frame frame = [&] {
-      // Waiting for the next frame is this node "blocked on a remote
-      // read" for the distributed deadlock detector.
-      BlockedScope blocked{stats ? &stats->blocked_remote_readers : nullptr};
-      ensure_connected();
-      try {
-        return reader_->read_frame();
-      } catch (const IoError& e) {
-        // A producer that finishes sends FIN before its transport goes
-        // away, so a stream dying mid-frame means the producer was
-        // *lost*, not done.  Locally-closed reads (our own close()/abort
-        // woke us via shutdown) keep the quiet IoError stop; everything
-        // else surfaces as WorkerLost, which IterativeProcess::run does
-        // NOT swallow -- the application sees the fault instead of a
-        // silently truncated history (docs/FAULTS.md).
-        if (closed_.load() || (node_ && node_->aborting())) throw;
-        obs::flight_record_named(obs::FlightKind::kWorkerLost,
-                                 producer_addr_.host);
-        // One post-mortem per process is plenty: a lost worker can fail
-        // many streams at once and each would otherwise write its own
-        // dump file.
-        static std::atomic<bool> dumped{false};
-        if (!dumped.exchange(true)) {
-          const std::string dump = obs::flight_dump("worker-lost");
-          if (!dump.empty()) {
-            log::warn("remote stream: flight dump written to ", dump);
-          }
-        }
-        throw WorkerLost{std::string{"remote producer lost mid-stream: "} +
-                         e.what()};
-      }
-    }();
-    switch (frame.type) {
-      case net::FrameType::kData:
-        if (stats != nullptr) {
-          stats->bytes_received.fetch_add(frame.payload.size());
-        }
-        buffer_ = std::move(frame.payload);
-        position_ = 0;
-        break;
-      case net::FrameType::kDataTraced: {
-        // Data frame carrying the trace-context extension: peel the 17
-        // context bytes, adopt the context as this thread's ambient one
-        // (spans recorded downstream chain to it), and mark the arrival
-        // -- same span id as the producer's kNetSend, which is what the
-        // exporter turns into a cross-host flow arrow.
-        if (frame.payload.size() < obs::TraceContext::kWireSize) {
-          throw IoError{"traced data frame shorter than its context"};
-        }
-        const auto ctx = obs::TraceContext::decode(frame.payload.data());
-        obs::current_trace_context() = ctx;
-        DPN_TRACE_EVENT(obs::TraceKind::kNetRecv, "data", ctx.span_id,
-                        frame.payload.size() - obs::TraceContext::kWireSize);
-        if (stats != nullptr) {
-          stats->bytes_received.fetch_add(frame.payload.size() -
-                                          obs::TraceContext::kWireSize);
-        }
-        buffer_.assign(frame.payload.begin() + obs::TraceContext::kWireSize,
-                       frame.payload.end());
-        position_ = 0;
-        break;
-      }
-      case net::FrameType::kFin:
-        eof_ = true;
-        return 0;
-      case net::FrameType::kRedirect:
-        handle_redirect(net::RedirectInfo::decode(
-            {frame.payload.data(), frame.payload.size()}));
-        break;
-      case net::FrameType::kRst:
-        throw ChannelClosed{"remote reader reset the channel"};
-      case net::FrameType::kCredit:
-        // Credits belong to the reverse direction; one arriving here is a
-        // protocol violation.
-        throw IoError{"credit frame on the data direction"};
-    }
+  TrafficStats* stats = node_ ? node_->traffic().get() : nullptr;
+  // Waiting for the producer is this node "blocked on a remote read" for
+  // the distributed deadlock detector.
+  BlockedScope blocked{stats ? &stats->blocked_remote_readers : nullptr};
+  while (payload_left_ == 0) {
+    if (eof_ || !next_frame()) return 0;
   }
+  const std::size_t n =
+      receive(out.first(std::min(out.size(), payload_left_)));
+  payload_left_ -= n;
+  if (stats != nullptr) stats->bytes_received.fetch_add(n);
+  return n;
 }
 
 void FrameChannelInput::handle_redirect(const net::RedirectInfo& info) {
@@ -187,108 +181,58 @@ void FrameChannelInput::handle_redirect(const net::RedirectInfo& info) {
                     info.trace.span_id, info.token);
   }
   auto promise = node_->rendezvous().expect(info.token);
-  auto successor = std::make_shared<FrameChannelInput>(promise, info.token,
-                                                       node_, credit_batch_);
+  auto successor =
+      std::make_shared<FrameChannelInput>(promise, info.token, node_);
   successor->set_parent_sequence(parent_);
   if (node_) node_->register_remote_input(successor);
   parent->append(successor);
   log::debug("channel segment redirected; awaiting token ", info.token);
 }
 
-void FrameChannelInput::send_credit(std::uint32_t bytes) {
-  if (bytes == 0) return;
-  std::scoped_lock lock{credit_mutex_};
-  if (credit_channel_dead_ || !stream_) return;
-  try {
-    if (!credit_writer_) {
-      credit_writer_.emplace(std::make_shared<net::StreamOutput>(stream_));
-    }
-    credit_writer_->write_credit(bytes);
-  } catch (const IoError&) {
-    // Producer already gone; it no longer needs credits.
-    credit_channel_dead_ = true;
-  }
-}
-
 void FrameChannelInput::grant_bonus_credits(std::uint32_t bytes) {
-  send_credit(bytes);
+  std::shared_ptr<net::Stream> stream;
+  {
+    std::scoped_lock lock{mutex_};
+    stream = stream_;
+  }
+  if (stream) stream->grant(bytes);
 }
 
 void FrameChannelInput::close() {
   if (closed_.exchange(true)) return;
-  if (promise_) {
+  std::shared_ptr<StreamPromise> promise;
+  std::shared_ptr<net::Stream> stream;
+  {
+    std::scoped_lock lock{mutex_};
+    promise = promise_;
+    stream = stream_;
+  }
+  if (promise) {
     node_->rendezvous().forget(pending_token_);
-    promise_->cancel();
+    promise->cancel();
   }
-  if (stream_) {
-    // Shutdown, not close: shutdown() wakes a reader currently blocked on
-    // this stream (a bare close() would leave it blocked forever -- the
-    // abort path closes endpoints from another thread), and it still
-    // makes the producer's next write fail with ChannelClosed,
-    // propagating termination upstream (Section 3.4).  The underlying
-    // connection/stream is released when the last reference drops.
-    stream_->shutdown_read();
-    stream_->shutdown_write();
-    // Closing before the producer's FIN means it may still be running --
-    // possibly parked in its credit wait, where the shutdowns above are
-    // not guaranteed to reach it: on the blocking backend both TCP
-    // directions of this connection can already be wedged (the seed-era
-    // teardown gridlock: writer in FIN-WAIT-1 behind ~116 KB we never
-    // read), and abandon_read is deliberately a no-op there.  Deliver the
-    // news out-of-band instead: a fresh connection to the producer's
-    // rendezvous carrying a CLOSE for our token.
-    if (!eof_.load() && close_token_ != 0 && producer_addr_.valid() &&
-        (!node_ || !node_->aborting())) {
-      notify_producer_closed();
-    }
-  }
-}
-
-void FrameChannelInput::notify_producer_closed() noexcept {
-  try {
-    auto stream = RendezvousService::send_close(
-        producer_addr_.host, producer_addr_.port, close_token_);
-    // Park the notification stream: dropping it immediately could reset
-    // the message away (mux) before the acceptor reads it.
-    if (node_) node_->park_stream(std::move(stream));
-    log::debug("dist CLOSE sent for token ", close_token_, " to ",
-               producer_addr_.host, ":", producer_addr_.port);
-  } catch (...) {
-    // Producer node already gone; there is nobody left to wake.
-    log::debug("dist CLOSE for token ", close_token_, " undeliverable");
-  }
+  // Close, not just stop reading: it wakes a reader blocked on this stream
+  // (the abort path closes endpoints from another thread), and the reset
+  // it sends wakes a producer parked on the stream's exhausted window
+  // into ChannelClosed, propagating termination upstream (Section 3.4).
+  if (stream) stream->close();
 }
 
 FrameChannelOutput::FrameChannelOutput(std::shared_ptr<net::Stream> stream,
                                        PeerAddress peer,
-                                       std::shared_ptr<NodeContext> node,
-                                       std::size_t window_override)
+                                       std::shared_ptr<NodeContext> node)
     : node_(std::move(node)), stream_(std::move(stream)),
       peer_(std::move(peer)) {
-  window_ = static_cast<std::int64_t>(
-      window_override != 0 ? window_override
-      : node_               ? node_->remote_window()
-                            : (std::size_t{1} << 18));
   if (node_) node_->register_remote_stream(stream_);
-  {
-    std::scoped_lock wake_lock{wake_mutex_};
-    wake_stream_ = stream_;
-  }
   writer_.emplace(std::make_shared<net::StreamOutput>(stream_));
 }
 
 FrameChannelOutput::FrameChannelOutput(std::shared_ptr<StreamPromise> promise,
                                        std::uint64_t token,
-                                       std::shared_ptr<NodeContext> node,
-                                       std::size_t window_override)
+                                       std::shared_ptr<NodeContext> node)
     : node_(std::move(node)),
       promise_(std::move(promise)),
-      pending_token_(token) {
-  window_ = static_cast<std::int64_t>(
-      window_override != 0 ? window_override
-      : node_               ? node_->remote_window()
-                            : (std::size_t{1} << 18));
-}
+      pending_token_(token) {}
 
 void FrameChannelOutput::ensure_connected_locked() {
   if (writer_) return;
@@ -296,10 +240,6 @@ void FrameChannelOutput::ensure_connected_locked() {
   peer_ = promise_->dialer();
   promise_.reset();
   if (node_) node_->register_remote_stream(stream_);
-  {
-    std::scoped_lock wake_lock{wake_mutex_};
-    wake_stream_ = stream_;
-  }
   writer_.emplace(std::make_shared<net::StreamOutput>(stream_));
 }
 
@@ -308,20 +248,13 @@ void FrameChannelOutput::write(ByteSpan data) {
   if (closed_) throw IoError{"write to closed remote channel"};
   TrafficStats* stats = node_ ? node_->traffic().get() : nullptr;
   {
+    // Blocks while the stream's window is spent -- the cross-machine
+    // equivalent of a full pipe.
     BlockedScope blocked{stats ? &stats->blocked_remote_writers : nullptr};
     ensure_connected_locked();
-    // Bounded remote channel: send at most window_ bytes, then block for
-    // consumer credits -- the cross-machine equivalent of a full pipe.
-    std::size_t offset = 0;
-    while (offset < data.size()) {
-      if (peer_closed_.load(std::memory_order_acquire)) {
-        // Out-of-band CLOSE already told us the consumer is gone; don't
-        // push more bytes at a receive queue nobody will drain.
-        throw ChannelClosed{"remote reader closed the channel"};
-      }
-      while (window_ <= 0) await_credit_locked();
-      const std::size_t chunk = std::min<std::size_t>(
-          static_cast<std::size_t>(window_), data.size() - offset);
+    for (std::size_t offset = 0; offset < data.size();) {
+      const std::size_t chunk =
+          std::min(kMaxFramePayload, data.size() - offset);
       if (obs::trace_enabled()) {
         // Stamp the frame with a fresh span in this thread's ambient
         // trace (minting the trace lazily): the consumer's kNetRecv of
@@ -338,142 +271,33 @@ void FrameChannelOutput::write(ByteSpan data) {
       } else {
         writer_->write_data(data.subspan(offset, chunk));
       }
-      window_ -= static_cast<std::int64_t>(chunk);
       offset += chunk;
-      // A producer whose window outpaces the data volume (large
-      // credit_window, short run) can otherwise go the whole stream
-      // without ever stalling -- and the stall path above is the only
-      // place credits are read.  The consumer's per-token grants then
-      // pile up unread until they overflow this end's receive buffer,
-      // and on the blocking backend the whole TCP connection collapses
-      // into mutual retransmission backoff: our own tail (and FIN!)
-      // never delivers, the consumer waits forever (the seed-era
-      // teardown gridlock).  Poll the backlog off periodically so the
-      // standing credit queue stays bounded regardless of window size.
-      since_drain_ += static_cast<std::int64_t>(chunk);
-      if (since_drain_ >= kDrainEveryBytes) {
-        since_drain_ = 0;
-        drain_credits_locked(/*block=*/false);
-      }
     }
   }
   if (stats != nullptr) stats->bytes_sent.fetch_add(data.size());
 }
 
-void FrameChannelOutput::drain_credits_locked(bool block) {
-  if (!credit_reader_) {
-    credit_reader_.emplace(std::make_shared<net::StreamInput>(stream_));
-  }
-  // Block for the grant we need (when the window is exhausted), then
-  // DRAIN every credit frame already buffered.  Reading one frame per
-  // stall lets unread grants accumulate in the transport (the consumer
-  // emits roughly one small credit frame per data frame, so their wire
-  // volume rivals the data's): once they fill the receive buffer / mux
-  // window of this reverse direction, the consumer's next grant blocks,
-  // it stops reading our data, and the connection gridlocks in both
-  // directions.  Draining to empty keeps the standing queue near zero,
-  // so the credit direction always has room.
-  for (;;) {
-    if (!block &&
-        !stream_->wait_readable(std::chrono::milliseconds{0})) {
-      return;
-    }
-    const net::Frame frame = [&] {
-      try {
-        return credit_reader_->read_frame();
-      } catch (const IoError&) {
-        // peer_closed() wakes this read by shutting down our receive
-        // side; an end-of-stream that lands mid-frame surfaces as
-        // IoError rather than the synthetic FIN.  Either way the meaning
-        // is the consumer's: it is gone.
-        if (peer_closed_.load(std::memory_order_acquire)) {
-          throw ChannelClosed{
-              "remote reader closed while writer awaited credit"};
-        }
-        throw;
-      }
-    }();
-    switch (frame.type) {
-      case net::FrameType::kCredit:
-        if (frame.payload.size() != 4) {
-          throw IoError{"malformed credit frame"};
-        }
-        window_ += get_u32(frame.payload.data());
-        block = false;
-        break;
-      case net::FrameType::kFin:
-        // The consumer is gone (orderly close or synthetic on shutdown):
-        // the writer's turn to terminate.
-        throw ChannelClosed{
-            "remote reader closed while writer awaited credit"};
-      default:
-        throw IoError{"unexpected frame on the credit channel"};
-    }
-  }
+void FrameChannelOutput::finish_locked() {
+  // The stream's own FIN ends the segment: it is queued behind our data
+  // but needs no window, so a close never waits for the consumer (the
+  // consumer's frame reader reports it as kFin).  Nothing ever arrives on
+  // the reverse direction, so it closes too.
+  stream_->close();
+  closed_ = true;
 }
 
 void FrameChannelOutput::close() {
   std::scoped_lock lock{mutex_};
   if (closed_) return;
-  closed_ = true;
   try {
     // Deliver FIN even if the consumer has not dialed in yet: the stream
     // contract promises the consumer an explicit end-of-stream.
     ensure_connected_locked();
-    // Clear any credit backlog first: unread grants sitting in our
-    // receive buffer are exactly what keeps the FIN below from reaching
-    // the consumer (see the drain in write()).
-    drain_credits_locked(/*block=*/false);
-    writer_->write_fin();
-    stream_->shutdown_write();
-    // We will never read again either: our only inbound traffic is credit
-    // frames, and the FIN above promises the consumer no more data, so any
-    // credit it sends from here on is void.  Saying so matters on the mux
-    // backend: a consumer mid-grant can be parked on this stream's credit
-    // window (its grants count against the mux window of the reverse
-    // direction, which only our await_credit reads ever replenish).  The
-    // per-stream RST that abandon_read emits there fails that write with
-    // ChannelClosed -- which FrameChannelInput::send_credit treats as
-    // "producer done" -- instead of leaving the consumer wedged until
-    // node teardown.  On the blocking backend abandon_read is a no-op
-    // (NOT a SHUT_RD: a shut-down TCP receive side answers late credit
-    // bytes with a connection-wide RST that would destroy our own
-    // undelivered tail and FIN); there the await_credit_locked
-    // drain-to-empty keeps the credit backlog from wedging anyone.
-    stream_->abandon_read();
-    park_stream_locked();
+    finish_locked();
   } catch (const IoError&) {
     // Consumer already gone; nothing to tell it.
+    closed_ = true;
   }
-}
-
-void FrameChannelOutput::peer_closed() {
-  // Out-of-band CLOSE from the consumer's teardown.  mutex_ may be held
-  // by a writer parked inside await_credit_locked's blocking credit read,
-  // so only the separately-locked wake handle is touched here: shutting
-  // down our receive side makes that read return end-of-stream, which the
-  // frame reader turns into a synthetic FIN -> ChannelClosed.  The RST
-  // hazard that keeps Stream::abandon_read a no-op on the blocking
-  // backend does not apply: anything a SHUT_RD here could destroy was
-  // addressed to a consumer that already stopped reading for good.
-  peer_closed_.store(true, std::memory_order_release);
-  std::shared_ptr<net::Stream> stream;
-  {
-    std::scoped_lock lock{wake_mutex_};
-    stream = wake_stream_;
-  }
-  if (stream) stream->shutdown_read();
-}
-
-void FrameChannelOutput::park_stream_locked() {
-  // Dropping the stream with unread data (late credit frames) inbound can
-  // turn into a connection reset that destroys our own in-flight channel
-  // data at the consumer (on the blocking backend a close with unread TCP
-  // data sends RST; on the mux backend dropping the handle RSTs the
-  // logical stream).  Instead, park the half-closed stream with the node:
-  // it stays open (harmless) until the node itself is torn down, long
-  // after the consumer has drained our FIN.
-  if (node_ && stream_) node_->park_stream(stream_);
 }
 
 void FrameChannelOutput::connect_now() {
@@ -503,14 +327,14 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
     DPN_TRACE_EVENT(obs::TraceKind::kShipSend, "redirect",
                     info.trace.span_id, successor_token);
   }
-  writer_->write_redirect(info);
-  writer_->write_fin();
-  stream_->shutdown_write();
-  // Same as close(): this segment never reads credits again; where the
-  // transport can say so safely (mux), unpark a consumer mid-grant.
-  stream_->abandon_read();
-  park_stream_locked();
-  closed_ = true;
+  {
+    // In-band, so it waits for window like data: counted as a blocked
+    // remote writer, it lets the deadlock detector grant room.
+    TrafficStats* stats = node_ ? node_->traffic().get() : nullptr;
+    BlockedScope blocked{stats ? &stats->blocked_remote_writers : nullptr};
+    writer_->write_redirect(info);
+  }
+  finish_locked();
 }
 
 }  // namespace dpn::dist

@@ -18,17 +18,20 @@
 /// A remote channel segment is one net::Stream carrying frames in the
 /// producer->consumer direction:
 ///   DATA     -- payload bytes;
-///   FIN      -- producer closed: consumer sees end-of-stream after drain;
 ///   REDIRECT -- "the stream continues on a new connection; expect a
 ///               rendezvous with this token" (sent when the producing
 ///               endpoint is shipped onward to a third server, so traffic
 ///               stops relaying through the middle man -- Figure 15).
-/// Consumer-side close shuts the stream down, which surfaces as
-/// ChannelClosed on the producer's next write: the cascade of Section 3.4
-/// crosses machine boundaries.  On the blocking backend a segment owns a
-/// TCP connection; on the mux backend it is one logical stream over the
-/// shared per-host connection -- the frame protocol is identical either
-/// way.
+/// The producer's close is the stream's own FIN, which needs no window,
+/// so the consumer sees end-of-stream after the drain and the producer
+/// never waits to close.  Nothing travels the other way.
+///
+/// The stream's credit window is the channel's bound (Section 3.5 across
+/// machines): it is fixed when the stream opens, the producer blocks
+/// inside the transport once it is spent, and consumption returns it.  A
+/// consumer-side close resets the stream, which surfaces as ChannelClosed
+/// on the producer's next -- or window-stalled -- write: the cascade of
+/// Section 3.4 crosses machine boundaries.
 namespace dpn::dist {
 
 /// Consumer side of a remote channel segment.  Lives inside a
@@ -37,98 +40,84 @@ namespace dpn::dist {
 /// current segment run out.
 class FrameChannelInput final : public io::InputStream {
  public:
-  /// An established connection (this endpoint dialed the producer's node).
-  /// `credit_batch` overrides the consumption-credit coalescing threshold
-  /// (0 = default; see ChannelOptions::remote.coalesce_bytes).
-  /// `producer` and `close_token` name the producer node's rendezvous and
-  /// the token this segment was dialed with, enabling the out-of-band
-  /// CLOSE notification on teardown (zero/empty disables it).
+  /// An established connection (this endpoint dialed the producer's node,
+  /// whose rendezvous is `producer`; used for diagnostics only).
   FrameChannelInput(std::shared_ptr<net::Stream> stream,
                     std::shared_ptr<NodeContext> node,
-                    std::uint32_t credit_batch = 0,
-                    PeerAddress producer = {},
-                    std::uint64_t close_token = 0);
+                    PeerAddress producer = {});
 
   /// A connection that will arrive at this node's rendezvous (this
   /// endpoint stayed put / was redirected to).  The first read blocks
   /// until the producer dials in.
   FrameChannelInput(std::shared_ptr<StreamPromise> promise,
-                    std::uint64_t token, std::shared_ptr<NodeContext> node,
-                    std::uint32_t credit_batch = 0);
+                    std::uint64_t token, std::shared_ptr<NodeContext> node);
 
   /// The sequence to splice successor segments into on REDIRECT.
   void set_parent_sequence(std::weak_ptr<io::SequenceInputStream> parent) {
     parent_ = std::move(parent);
   }
 
+  /// DATA payload goes straight from the stream to `out`, so unread bytes
+  /// stay inside the stream's window instead of in a segment buffer.
   std::size_t read_some(MutableByteSpan out) override;
   void close() override;
 
-  /// Grants the producer extra window beyond normal consumption credits.
-  /// The distributed deadlock detector uses this as the remote analogue
-  /// of growing a full local channel.  Thread-safe; a no-op until the
-  /// segment has a live stream.
+  /// Grants the producer `bytes` of window beyond what consumption
+  /// returns.  The distributed deadlock detector uses this as the remote
+  /// analogue of growing a full local channel.  Thread-safe; a no-op
+  /// until the segment has a live stream.
   void grant_bonus_credits(std::uint32_t bytes);
 
  private:
   void ensure_connected();
+  /// Reads one header and handles every frame type but DATA payload;
+  /// false once the segment has ended.
+  bool next_frame();
+  /// stream read_some, with a lost producer surfaced as WorkerLost.
+  std::size_t receive(MutableByteSpan out);
+  /// Called from a handler for `e`: rethrows it when this side closed or
+  /// is aborting, else throws WorkerLost.
+  [[noreturn]] void producer_lost(const IoError& e);
   void handle_redirect(const net::RedirectInfo& info);
-  void send_credit(std::uint32_t bytes);
-  void notify_producer_closed() noexcept;
 
   std::shared_ptr<NodeContext> node_;
   std::weak_ptr<io::SequenceInputStream> parent_;
 
+  // stream_ is written by the reader (ensure_connected) and read by
+  // close()/grant_bonus_credits() from other threads: under mutex_.
+  std::mutex mutex_;
   std::shared_ptr<net::Stream> stream_;
   std::shared_ptr<StreamPromise> promise_;
   std::uint64_t pending_token_ = 0;
+  // Reader-thread state.
+  std::shared_ptr<net::StreamInput> input_;
   std::optional<net::FrameReader> reader_;
-
-  // Where an early close() sends the out-of-band CLOSE notification: the
-  // producer node's rendezvous + the token its credit waiter is
-  // registered under.  Learned from the stub (dialing side) or from the
-  // producer's HELLO (promise side).
   PeerAddress producer_addr_;
-  std::uint64_t close_token_ = 0;
-
-  // Reverse-direction flow control (see net::FrameType::kCredit).
-  // Consumption credits below this size coalesce into one grant instead
-  // of costing a frame (header + syscall) each.
-  static constexpr std::uint32_t kCreditBatch = 4096;
-  const std::uint32_t credit_batch_;
-  std::mutex credit_mutex_;
-  std::optional<net::FrameWriter> credit_writer_;
-  bool credit_channel_dead_ = false;
-  std::uint32_t pending_credit_ = 0;
-
-  ByteVector buffer_;
-  std::size_t position_ = 0;
-  // Atomic: written by the reader, consulted by a close() from another
-  // thread to decide whether the producer still needs a CLOSE nudge.
-  std::atomic<bool> eof_{false};
+  std::size_t payload_left_ = 0;  // unread bytes of the current DATA frame
+  bool eof_ = false;
   std::atomic<bool> closed_{false};
 };
 
-/// Producer side of a remote channel segment.
+/// Producer side of a remote channel segment.  Its flow-control window is
+/// the stream's, fixed when the stream opens: the channel's
+/// ChannelOptions::remote.credit_window, else the producer node's
+/// NodeContext::remote_window().
 class FrameChannelOutput final : public io::OutputStream {
  public:
   /// An established connection; `peer` is the consumer node's rendezvous
   /// address (kept so this endpoint can orchestrate a redirect if it is
   /// shipped again).  `node` attributes traffic to the hosting node's
-  /// counters (may be null in tests).  `window_override` replaces the
-  /// node's default flow-control window when nonzero
-  /// (ChannelOptions::remote.credit_window).
+  /// counters (may be null in tests).
   FrameChannelOutput(std::shared_ptr<net::Stream> stream, PeerAddress peer,
-                     std::shared_ptr<NodeContext> node = nullptr,
-                     std::size_t window_override = 0);
+                     std::shared_ptr<NodeContext> node = nullptr);
 
   /// A connection that will arrive at this node's rendezvous (this
-  /// endpoint stayed put while its consumer shipped out).  The first
+  /// endpoint stayed put while its consumer shipped out; the consumer
+  /// dials with the window this endpoint's node resolved).  The first
   /// write blocks until the consumer dials in; the consumer's rendezvous
   /// address is learned from its HELLO.
   FrameChannelOutput(std::shared_ptr<StreamPromise> promise,
-                     std::uint64_t token, std::shared_ptr<NodeContext> node,
-                     std::size_t window_override = 0);
+                     std::uint64_t token, std::shared_ptr<NodeContext> node);
 
   void write(ByteSpan data) override;
   void flush() override {}
@@ -147,43 +136,20 @@ class FrameChannelOutput final : public io::OutputStream {
   /// then ends this segment with a FIN.  The endpoint is unusable after.
   void redirect_and_finish(std::uint64_t successor_token);
 
-  /// Out-of-band notification (dist CLOSE frame, delivered through the
-  /// node's rendezvous): the consumer of this segment entered teardown
-  /// and will never read or grant again.  Wakes a writer parked in
-  /// await_credit_locked by surfacing end-of-stream on its credit read.
-  /// Deliberately does NOT take mutex_ -- the parked writer holds it.
-  void peer_closed();
-
  private:
   void ensure_connected_locked();
-  /// Reads frames off the credit direction.  With block=true, waits for at
-  /// least one grant (the window is exhausted); either way it then drains
-  /// every frame already queued.  See write() for why the non-blocking
-  /// drain must also run while the window still has room.
-  void drain_credits_locked(bool block);
-  void await_credit_locked() { drain_credits_locked(/*block=*/true); }
-  void park_stream_locked();
+  /// Ends the segment with the stream's FIN, queued behind our data.
+  void finish_locked();
+
+  /// Largest DATA frame payload: bounds the copy a frame write makes.
+  static constexpr std::size_t kMaxFramePayload = 64 << 10;
 
   mutable std::mutex mutex_;
   std::shared_ptr<NodeContext> node_;
   std::shared_ptr<net::Stream> stream_;
-  // Duplicate handle for peer_closed(), under its own lock: the wake must
-  // not contend for mutex_ (held across the parked credit read).
-  std::mutex wake_mutex_;
-  std::shared_ptr<net::Stream> wake_stream_;
-  std::atomic<bool> peer_closed_{false};
   std::shared_ptr<StreamPromise> promise_;
   std::uint64_t pending_token_ = 0;
   std::optional<net::FrameWriter> writer_;
-  // Flow-control window: payload bytes this producer may still send
-  // before it must block for consumer credits (bounded remote channels).
-  std::int64_t window_ = 0;
-  // Payload bytes sent since the credit direction was last drained; at
-  // kDrainEveryBytes the next write polls the queued grants off even
-  // though the window is not exhausted (teardown-gridlock fix).
-  std::int64_t since_drain_ = 0;
-  static constexpr std::int64_t kDrainEveryBytes = 32 << 10;
-  std::optional<net::FrameReader> credit_reader_;
   PeerAddress peer_;
   bool closed_ = false;
 };

@@ -54,9 +54,10 @@ class RemoteInputStub final : public serial::Serializable {
   // channel's metrics survive migration.
   std::uint64_t bytes_read = 0;
   std::uint64_t tokens_read = 0;
-  // Remote tuning (ChannelOptions::RemoteTuning) travels too.
+  // The staying producer's window, resolved by its node
+  // (ChannelOptions::remote.credit_window, else its remote_window()):
+  // the dial-back opens the stream with it.
   std::uint64_t credit_window = 0;
-  std::uint64_t coalesce_bytes = 0;
 
   std::string type_name() const override { return "dpn.RemoteInputStub"; }
 
@@ -72,7 +73,6 @@ class RemoteInputStub final : public serial::Serializable {
     out.write_u64(bytes_read);
     out.write_u64(tokens_read);
     out.write_u64(credit_window);
-    out.write_u64(coalesce_bytes);
   }
 
   static std::shared_ptr<RemoteInputStub> read_object(
@@ -89,7 +89,6 @@ class RemoteInputStub final : public serial::Serializable {
     stub->bytes_read = in.read_u64();
     stub->tokens_read = in.read_u64();
     stub->credit_window = in.read_u64();
-    stub->coalesce_bytes = in.read_u64();
     return stub;
   }
 
@@ -103,7 +102,6 @@ class RemoteInputStub final : public serial::Serializable {
     state->read_buffer = static_cast<std::size_t>(read_buffer);
     state->output_remote = true;
     state->remote.credit_window = static_cast<std::size_t>(credit_window);
-    state->remote.coalesce_bytes = static_cast<std::size_t>(coalesce_bytes);
     state->metrics->bytes_read.store(bytes_read, std::memory_order_relaxed);
     state->metrics->tokens_read.store(tokens_read, std::memory_order_relaxed);
 
@@ -115,16 +113,14 @@ class RemoteInputStub final : public serial::Serializable {
     if (live) {
       // Dial back to the node that kept the producer (the paper's
       // "establishes a network connection back to the waiting
-      // RemoteOutputStream").  The channel's credit window doubles as the
-      // mux stream's receive window: the transport never buffers more
-      // than the channel would accept.
+      // RemoteOutputStream"), opening the stream with the producer's
+      // window: it is the channel's flow control.
       auto stream = RendezvousService::dial(
           host, static_cast<std::uint16_t>(port), token,
           ctx->node->address(), static_cast<std::size_t>(credit_window));
       auto segment = std::make_shared<FrameChannelInput>(
           std::move(stream), ctx->node,
-          static_cast<std::uint32_t>(coalesce_bytes),
-          PeerAddress{host, static_cast<std::uint16_t>(port)}, token);
+          PeerAddress{host, static_cast<std::uint16_t>(port)});
       segment->set_parent_sequence(sequence);
       ctx->node->register_remote_input(segment);
       sequence->append(std::move(segment));
@@ -149,9 +145,9 @@ class RemoteOutputStub final : public serial::Serializable {
   // Producer-side traffic counters; see RemoteInputStub.
   std::uint64_t bytes_written = 0;
   std::uint64_t tokens_written = 0;
-  // Remote tuning (ChannelOptions::RemoteTuning).
+  // ChannelOptions::remote.credit_window (0: the receiving node's
+  // remote_window()).
   std::uint64_t credit_window = 0;
-  std::uint64_t coalesce_bytes = 0;
 
   std::string type_name() const override { return "dpn.RemoteOutputStub"; }
 
@@ -166,7 +162,6 @@ class RemoteOutputStub final : public serial::Serializable {
     out.write_u64(bytes_written);
     out.write_u64(tokens_written);
     out.write_u64(credit_window);
-    out.write_u64(coalesce_bytes);
   }
 
   static std::shared_ptr<RemoteOutputStub> read_object(
@@ -182,7 +177,6 @@ class RemoteOutputStub final : public serial::Serializable {
     stub->bytes_written = in.read_u64();
     stub->tokens_written = in.read_u64();
     stub->credit_window = in.read_u64();
-    stub->coalesce_bytes = in.read_u64();
     return stub;
   }
 
@@ -196,7 +190,6 @@ class RemoteOutputStub final : public serial::Serializable {
     state->write_buffer = static_cast<std::size_t>(write_buffer);
     state->input_remote = true;
     state->remote.credit_window = static_cast<std::size_t>(credit_window);
-    state->remote.coalesce_bytes = static_cast<std::size_t>(coalesce_bytes);
     state->metrics->bytes_written.store(bytes_written,
                                         std::memory_order_relaxed);
     state->metrics->tokens_written.store(tokens_written,
@@ -206,17 +199,16 @@ class RemoteOutputStub final : public serial::Serializable {
     if (dead) {
       sink = std::make_shared<DeadOutputStream>();
     } else {
+      // This producer dials, so it opens the stream with its own window.
+      const std::size_t window = credit_window != 0
+                                     ? static_cast<std::size_t>(credit_window)
+                                     : ctx->node->remote_window();
       auto stream = RendezvousService::dial(
           host, static_cast<std::uint16_t>(port), token,
-          ctx->node->address());
-      auto remote = std::make_shared<FrameChannelOutput>(
+          ctx->node->address(), window);
+      sink = std::make_shared<FrameChannelOutput>(
           std::move(stream),
-          PeerAddress{host, static_cast<std::uint16_t>(port)}, ctx->node,
-          static_cast<std::size_t>(credit_window));
-      // The consumer knows us by the token we just dialed with; its
-      // teardown CLOSE must find this endpoint's credit wait.
-      ctx->node->register_credit_waiter(token, remote);
-      sink = std::move(remote);
+          PeerAddress{host, static_cast<std::uint16_t>(port)}, ctx->node);
     }
     auto sequence =
         std::make_shared<io::SequenceOutputStream>(std::move(sink));
@@ -243,7 +235,6 @@ class LocalPairStub final : public serial::Serializable {
   std::uint64_t write_buffer = 0;
   std::uint64_t read_buffer = 0;
   std::uint64_t credit_window = 0;
-  std::uint64_t coalesce_bytes = 0;
   // Full traffic counters: the whole channel moves, so both directions'
   // metrics travel with the metadata stub.
   std::uint64_t bytes_written = 0;
@@ -266,7 +257,6 @@ class LocalPairStub final : public serial::Serializable {
       out.write_u64(write_buffer);
       out.write_u64(read_buffer);
       out.write_u64(credit_window);
-      out.write_u64(coalesce_bytes);
       out.write_u64(bytes_written);
       out.write_u64(tokens_written);
       out.write_u64(bytes_read);
@@ -289,7 +279,6 @@ class LocalPairStub final : public serial::Serializable {
       stub->write_buffer = in.read_u64();
       stub->read_buffer = in.read_u64();
       stub->credit_window = in.read_u64();
-      stub->coalesce_bytes = in.read_u64();
       stub->bytes_written = in.read_u64();
       stub->tokens_written = in.read_u64();
       stub->bytes_read = in.read_u64();
@@ -311,8 +300,7 @@ class LocalPairStub final : public serial::Serializable {
       channel = std::make_shared<core::Channel>(core::ChannelOptions{
           cap, label, static_cast<std::size_t>(write_buffer),
           static_cast<std::size_t>(read_buffer),
-          {static_cast<std::size_t>(credit_window),
-           static_cast<std::size_t>(coalesce_bytes)}});
+          {static_cast<std::size_t>(credit_window)}});
       if (!buffered.empty()) {
         channel->pipe()->write({buffered.data(), buffered.size()});
       }
@@ -409,7 +397,6 @@ std::shared_ptr<serial::Serializable> make_pair_stub(
     stub->write_buffer = state->write_buffer;
     stub->read_buffer = state->read_buffer;
     stub->credit_window = state->remote.credit_window;
-    stub->coalesce_bytes = state->remote.coalesce_bytes;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
     stub->tokens_written =
@@ -462,8 +449,6 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
   stub->label = state->label;
   stub->capacity = state->capacity;
   stub->read_buffer = state->read_buffer;
-  stub->credit_window = state->remote.credit_window;
-  stub->coalesce_bytes = state->remote.coalesce_bytes;
   stub->bytes_read =
       state->metrics->bytes_read.load(std::memory_order_relaxed);
   stub->tokens_read =
@@ -493,9 +478,8 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
     // positions; writes after the switch coalesce towards the socket.
     const std::uint64_t token = node.next_token();
     auto promise = node.rendezvous().expect(token);
-    auto stream_out = std::make_shared<FrameChannelOutput>(
-        promise, token, ctx->node, state->remote.credit_window);
-    node.register_credit_waiter(token, stream_out);
+    auto stream_out =
+        std::make_shared<FrameChannelOutput>(promise, token, ctx->node);
     state->pipe->set_unbounded();  // unwedge any in-flight producer write
     flush_producer(state);
     // Typed channel: flush the ring's backlog into the pipe before the
@@ -507,6 +491,11 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
                                    /*close_old=*/false);
     stub->buffered = drain_unconsumed(state);
     stub->live = true;
+    // The producer stays, so its node decides the window here; the
+    // consumer opens the stream with it when it dials back.
+    stub->credit_window = state->remote.credit_window != 0
+                              ? state->remote.credit_window
+                              : node.remote_window();
     stub->host = node.host();
     stub->port = node.rendezvous().port();
     stub->token = token;
@@ -549,7 +538,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     stub->capacity = state->capacity;
     stub->write_buffer = state->write_buffer;
     stub->credit_window = state->remote.credit_window;
-    stub->coalesce_bytes = state->remote.coalesce_bytes;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
     stub->tokens_written =
@@ -570,9 +558,8 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     } else {
       const std::uint64_t token = node.next_token();
       auto promise = node.rendezvous().expect(token);
-      auto segment = std::make_shared<FrameChannelInput>(
-          promise, token, ctx->node,
-          static_cast<std::uint32_t>(state->remote.coalesce_bytes));
+      auto segment =
+          std::make_shared<FrameChannelInput>(promise, token, ctx->node);
       segment->set_parent_sequence(consumer->sequence_ptr());
       ctx->node->register_remote_input(segment);
       consumer->sequence().append(std::move(segment));
@@ -600,7 +587,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     stub->capacity = state->capacity;
     stub->write_buffer = state->write_buffer;
     stub->credit_window = state->remote.credit_window;
-    stub->coalesce_bytes = state->remote.coalesce_bytes;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
     stub->tokens_written =

@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <type_traits>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace dpn::dist {
 
-/// Thread-safe collection of weak references.
+/// Thread-safe list of weak references.
 ///
 /// A NodeContext keeps one per kind of object it must reach later without
 /// keeping it alive: remote streams to abort and consumer segments to
-/// grant bonus credits to (plain lists, filled with add() and walked with
-/// live()), and producer segments a CLOSE names by token (Keyed = true,
-/// filled with insert() and emptied with take()).
+/// grant bonus credits to, filled with add() and walked with live().
 ///
 /// Pruning policy: expired entries are erased only when an insert brings
 /// the entry count up to the prune threshold, which is then reset to
@@ -27,37 +21,18 @@ namespace dpn::dist {
 /// since the last one, so an insert costs O(1) amortized, and the
 /// registry never stores more than max(kMinPrune, 2 * L) entries, where L
 /// is the number that were live at the last sweep.
-template <typename T, bool Keyed = false>
+template <typename T>
 class WeakRegistry {
  public:
   static constexpr std::size_t kMinPrune = 16;
 
-  /// Registers `value`.  Unkeyed registries only.
   void add(const std::shared_ptr<T>& value) {
-    static_assert(!Keyed, "a keyed WeakRegistry is filled with insert()");
     std::scoped_lock lock{mutex_};
     entries_.push_back(value);
-    prune_if_due_locked();
-  }
-
-  /// Registers `value` under `key`, replacing any earlier entry.  Keyed
-  /// registries only.
-  void insert(std::uint64_t key, const std::shared_ptr<T>& value) {
-    static_assert(Keyed, "an unkeyed WeakRegistry is filled with add()");
-    std::scoped_lock lock{mutex_};
-    entries_.insert_or_assign(key, value);
-    prune_if_due_locked();
-  }
-
-  /// Removes the entry for `key`; returns its object if it is still alive.
-  std::shared_ptr<T> take(std::uint64_t key) {
-    static_assert(Keyed, "an unkeyed WeakRegistry has no keys");
-    std::scoped_lock lock{mutex_};
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return nullptr;
-    std::shared_ptr<T> value = it->second.lock();
-    entries_.erase(it);
-    return value;
+    if (entries_.size() < prune_at_) return;
+    std::erase_if(entries_,
+                  [](const std::weak_ptr<T>& entry) { return entry.expired(); });
+    prune_at_ = std::max(kMinPrune, 2 * entries_.size());
   }
 
   /// Strong references to every live entry, so the caller can act on
@@ -67,7 +42,7 @@ class WeakRegistry {
     std::scoped_lock lock{mutex_};
     out.reserve(entries_.size());
     for (const auto& entry : entries_) {
-      if (auto value = weak(entry).lock()) out.push_back(std::move(value));
+      if (auto value = entry.lock()) out.push_back(std::move(value));
     }
     return out;
   }
@@ -79,25 +54,8 @@ class WeakRegistry {
   }
 
  private:
-  using Weak = std::weak_ptr<T>;
-  using Entries = std::conditional_t<Keyed,
-                                     std::unordered_map<std::uint64_t, Weak>,
-                                     std::vector<Weak>>;
-
-  static const Weak& weak(const Weak& entry) { return entry; }
-  static const Weak& weak(const std::pair<const std::uint64_t, Weak>& entry) {
-    return entry.second;
-  }
-
-  void prune_if_due_locked() {
-    if (entries_.size() < prune_at_) return;
-    std::erase_if(entries_,
-                  [](const auto& entry) { return weak(entry).expired(); });
-    prune_at_ = std::max(kMinPrune, 2 * entries_.size());
-  }
-
   mutable std::mutex mutex_;
-  Entries entries_;
+  std::vector<std::weak_ptr<T>> entries_;
   std::size_t prune_at_ = kMinPrune;
 };
 

@@ -17,6 +17,9 @@ class MemoryInputStream final : public InputStream {
 
   std::size_t read_some(MutableByteSpan out) override {
     const std::size_t n = std::min(out.size(), data_.size() - pos_);
+    // An empty buffer's data() may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (n == 0) return 0;
     std::memcpy(out.data(), data_.data() + pos_, n);
     pos_ += n;
     return n;

@@ -65,14 +65,6 @@ void FrameWriter::write_data_traced(const obs::TraceContext& ctx,
 
 void FrameWriter::write_fin() { write_frame(FrameType::kFin, {}); }
 
-void FrameWriter::write_rst() { write_frame(FrameType::kRst, {}); }
-
-void FrameWriter::write_credit(std::uint32_t bytes) {
-  std::uint8_t payload[4];
-  put_u32(payload, bytes);
-  write_frame(FrameType::kCredit, {payload, sizeof payload});
-}
-
 void FrameWriter::write_redirect(const RedirectInfo& info) {
   const ByteVector payload = info.encode();
   write_frame(FrameType::kRedirect, {payload.data(), payload.size()});
@@ -95,6 +87,17 @@ void FrameWriter::write_frame(FrameType type, ByteSpan payload) {
 }
 
 Frame FrameReader::read_frame() {
+  const FrameHeader header = read_header();
+  Frame frame;
+  frame.type = header.type;
+  frame.payload.resize(header.length);
+  if (header.length > 0) {
+    io::read_fully(*in_, {frame.payload.data(), header.length});
+  }
+  return frame;
+}
+
+FrameHeader FrameReader::read_header() {
   std::uint8_t header[5];
   std::size_t got = 0;
   while (got < sizeof header) {
@@ -102,23 +105,18 @@ Frame FrameReader::read_frame() {
     if (n == 0) {
       if (got == 0) {
         // Transport ended cleanly between frames: synthesize FIN.
-        return Frame{FrameType::kFin, {}};
+        return FrameHeader{FrameType::kFin, 0};
       }
       throw EndOfStream{"transport ended mid-frame"};
     }
     got += n;
   }
-  const auto type = static_cast<FrameType>(header[0]);
   const std::uint32_t length = get_u32(header + 1);
   if (length > kMaxFramePayload) {
     throw IoError{"frame payload of " + std::to_string(length) +
                   " bytes exceeds limit"};
   }
-  Frame frame;
-  frame.type = type;
-  frame.payload.resize(length);
-  if (length > 0) io::read_fully(*in_, {frame.payload.data(), length});
-  return frame;
+  return FrameHeader{static_cast<FrameType>(header[0]), length};
 }
 
 }  // namespace dpn::net

@@ -18,26 +18,20 @@
 ///
 ///   kData     -- channel payload bytes
 ///   kFin      -- writer closed; reader sees end-of-stream after draining
-///   kRst      -- sent on the *reverse* direction: reader closed, make the
-///                writer's next write throw ChannelClosed
 ///   kRedirect -- "the rest of this stream continues at host:port, token T"
 ///                (decentralized reconnection, paper Figure 15)
 ///
-/// The codec is transport-agnostic (it reads/writes io streams) so it is
+/// Frames flow producer -> consumer only.  Flow control and the reader's
+/// close belong to the transport stream underneath (its credit window and
+/// RST), so a remote channel needs no reverse-direction frames.  The
+/// codec is transport-agnostic (it reads/writes io streams) so it is
 /// unit-testable without sockets.
 namespace dpn::net {
 
 enum class FrameType : std::uint8_t {
   kData = 0,
   kFin = 1,
-  kRst = 2,
   kRedirect = 3,
-  /// Reverse-direction flow control: the consumer grants the producer
-  /// this many more payload bytes.  Remote channels are *bounded* (the
-  /// paper's Section 3.5 fairness argument must hold across machines);
-  /// the producer blocks when its window is exhausted, exactly like a
-  /// local writer on a full pipe.
-  kCredit = 4,
   /// kData with a 17-byte TraceContext prefix (trace_id:u64 span_id:u64
   /// flags:u8) ahead of the channel bytes -- the frame extension of
   /// docs/PROTOCOLS.md Section 6.  Emitted only while tracing is
@@ -49,6 +43,12 @@ enum class FrameType : std::uint8_t {
 struct Frame {
   FrameType type = FrameType::kData;
   ByteVector payload;
+};
+
+/// A frame's type and payload length, its payload not yet read.
+struct FrameHeader {
+  FrameType type = FrameType::kData;
+  std::uint32_t length = 0;
 };
 
 /// Payload of a kRedirect frame.
@@ -77,9 +77,7 @@ class FrameWriter {
   /// header and payload, so enabling tracing adds no extra syscall.
   void write_data_traced(const obs::TraceContext& ctx, ByteSpan data);
   void write_fin();
-  void write_rst();
   void write_redirect(const RedirectInfo& info);
-  void write_credit(std::uint32_t bytes);
 
   void flush() { out_->flush(); }
   void close() { out_->close(); }
@@ -99,6 +97,12 @@ class FrameReader {
   /// a kFin) is reported as a synthetic kFin so channel draining still
   /// terminates cleanly.
   Frame read_frame();
+
+  /// Reads only the next frame's header, leaving its payload in the
+  /// stream for the caller (a remote channel hands DATA payload straight
+  /// to its reader instead of buffering whole frames).  Clean
+  /// end-of-stream between frames synthesizes kFin, as in read_frame().
+  FrameHeader read_header();
 
   void close() { in_->close(); }
 

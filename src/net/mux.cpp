@@ -33,8 +33,8 @@ namespace {
 // Wire constants (docs/PROTOCOLS.md Section 8).
 
 constexpr std::uint32_t kMuxMagic = 0x44504E4D;  // 'DPNM'
-constexpr std::uint8_t kMuxVersion = 1;
-constexpr std::size_t kPrefaceSize = 9;  // magic:u32 version:u8 window:u32
+constexpr std::uint8_t kMuxVersion = 2;
+constexpr std::size_t kPrefaceSize = 5;  // magic:u32 version:u8
 constexpr std::size_t kHeaderSize = 9;   // stream:u32 type:u8 length:u32
 /// Upper bound on a peer's advertised frame length: anything larger is a
 /// corrupt or hostile stream, not flow control (chunks are cut at
@@ -67,12 +67,11 @@ void append_header(ByteVector& out, std::uint32_t stream_id, MuxFrame type,
   append_u32(out, length);
 }
 
-ByteVector encode_preface(std::uint32_t default_window) {
+ByteVector encode_preface() {
   ByteVector out;
   out.reserve(kPrefaceSize);
   append_u32(out, kMuxMagic);
   out.push_back(kMuxVersion);
-  append_u32(out, default_window);
   return out;
 }
 
@@ -122,9 +121,9 @@ class MuxStream final : public Stream,
     bool fin = false;
   };
 
+  /// `window` is the OPEN frame's: the initial credit of both directions.
   MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
-            std::size_t send_window, std::size_t recv_window,
-            std::size_t coalesce);
+            std::size_t window, std::size_t coalesce);
   ~MuxStream() override;
 
   // Stream interface -------------------------------------------------------
@@ -132,20 +131,21 @@ class MuxStream final : public Stream,
   void write_all(ByteSpan data) override;
   bool wait_readable(std::chrono::milliseconds timeout) override;
   void shutdown_write() override;
+  /// Sends RST unless the peer already finished: scoped to this logical
+  /// stream's receive direction, so our queued chunks and FIN still flush
+  /// in order, while a peer parked on our window wakes into
+  /// ChannelClosed.
   void shutdown_read() override;
-  // A mux RST is scoped to this logical stream's receive direction: our
-  // queued outbound chunks and FIN still flush in order, so abandoning
-  // the read side is safe here (and unparks a peer stalled mid-grant on
-  // this direction's credit window).
-  void abandon_read() override { shutdown_read(); }
+  void grant(std::size_t bytes) override;
   void close() override {
-    // Same shape as SocketStream::close: both half-closes, idempotent.
+    // Both half-closes, idempotent.
     shutdown_read();
     shutdown_write();
   }
   std::string peer_description() const override;
 
   // Loop-side entry points (called by MuxConnection with no locks held).
+  /// Throws NetError when the peer sends past the credit it was granted.
   void on_data(ByteSpan payload, const obs::TraceContext* ctx);
   void on_credit(std::uint32_t bytes);
   void on_fin();
@@ -202,6 +202,10 @@ class MuxStream final : public Stream,
   std::size_t inbound_bytes_ = 0;
   /// Bytes consumed but not yet granted back to the peer.
   std::size_t unacked_ = 0;
+  /// Bytes the peer may still send: the OPEN window plus every grant
+  /// (raised before the CREDIT leaves), minus what arrived.  DATA past it
+  /// is a protocol violation.
+  std::size_t recv_allowance_;
   bool remote_fin_ = false;
   bool read_shutdown_ = false;
 
@@ -231,16 +235,15 @@ class MuxConnection final : public EventLoop::Handler,
         peer_(std::move(peer)),
         listener_(std::move(listener)) {}
 
-  /// Dialer side: preface already exchanged synchronously; `peer_window`
-  /// is the acceptor's preface default_window.
-  void start_dialer(std::size_t peer_window);
+  /// Dialer side: preface already exchanged synchronously.
+  void start_dialer();
   /// Acceptor side: registers and arms the handshake deadline; the
   /// dialer's preface arrives through the loop.
   void start_acceptor();
 
   /// Dialer only: allocates a stream id, registers the stream and queues
-  /// its OPEN frame.  `open_window` is the credit granted to the peer.
-  std::shared_ptr<MuxStream> open_stream(std::size_t open_window,
+  /// its OPEN frame.  `window` is the initial credit of both directions.
+  std::shared_ptr<MuxStream> open_stream(std::size_t window,
                                          std::size_t coalesce);
 
   void on_io(std::uint32_t events) override;
@@ -260,7 +263,9 @@ class MuxConnection final : public EventLoop::Handler,
   void request_flush();
   void flush();            // loop thread
   void handle_readable();  // loop thread
-  void parse_frames();     // loop thread
+  // Loop thread; a malformed or hostile frame throws NetError, which
+  // handle_readable turns into the connection's death.
+  void parse_frames();
   void dispatch_frame(std::uint32_t stream_id, MuxFrame type, ByteSpan payload);
   void die(const std::string& why);  // loop thread
 
@@ -277,9 +282,6 @@ class MuxConnection final : public EventLoop::Handler,
   std::unordered_map<std::uint32_t, std::shared_ptr<MuxStream>> streams_;
   std::uint32_t next_stream_id_ = 1;
   std::atomic<bool> dead_{false};
-  /// Peer's preface default_window: the initial send window of every
-  /// dialer-opened stream (meaningful on the dialer side only).
-  std::size_t peer_default_window_ = 0;
 
   // Send queue (send_mutex_): tiny control frames jump ahead of data; the
   // ready ring round-robins streams so one hot channel cannot starve its
@@ -352,15 +354,12 @@ class MuxTransport final : public Transport {
       : stream_window_(network_options().stream_window),
         coalesce_(network_options().coalesce_bytes) {}
 
-  TransportKind kind() const override { return TransportKind::kMux; }
-
   std::shared_ptr<Stream> dial(const std::string& host, std::uint16_t port,
                                const DialOptions& options) override;
   std::shared_ptr<Listener> listen(std::uint16_t port) override;
 
   /// The reactor loop the next established connection is pinned to.
   EventLoop& next_loop() { return reactor().next(); }
-  std::size_t stream_window() const { return stream_window_; }
   std::size_t coalesce() const { return coalesce_; }
 
   /// Keeps an accepted connection alive while it is registered with the
@@ -392,10 +391,9 @@ class MuxTransport final : public Transport {
   std::unordered_set<std::shared_ptr<MuxConnection>> all_;
 };
 
-/// Streams are handed out behind a close-on-last-ref wrapper, mirroring
-/// how the blocking backend's descriptor closes when the last
-/// shared_ptr<Socket> drops: a caller that forgets close() cannot leak a
-/// table entry forever.
+/// Streams are handed out behind a close-on-last-ref wrapper, the way a
+/// socket descriptor closes when its last owner drops: a caller that
+/// forgets close() cannot leak a table entry forever.
 std::shared_ptr<Stream> public_handle(std::shared_ptr<MuxStream> stream) {
   Stream* raw = stream.get();
   return std::shared_ptr<Stream>(
@@ -406,13 +404,13 @@ std::shared_ptr<Stream> public_handle(std::shared_ptr<MuxStream> stream) {
 // MuxStream implementation.
 
 MuxStream::MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
-                     std::size_t send_window, std::size_t recv_window,
-                     std::size_t coalesce)
+                     std::size_t window, std::size_t coalesce)
     : conn_(std::move(conn)),
       id_(id),
-      recv_window_(recv_window),
+      recv_window_(window),
       coalesce_(coalesce == 0 ? 1 : coalesce),
-      send_window_(static_cast<std::int64_t>(send_window)) {
+      recv_allowance_(window),
+      send_window_(static_cast<std::int64_t>(window)) {
   counters().streams_total.fetch_add(1, std::memory_order_relaxed);
   counters().streams_active.fetch_add(1, std::memory_order_relaxed);
 }
@@ -474,6 +472,7 @@ std::size_t MuxStream::read_some(MutableByteSpan out) {
        inbound_bytes_ == 0)) {
     grant = unacked_;
     unacked_ = 0;
+    recv_allowance_ += grant;
   }
   lock.unlock();
   if (grant > 0) conn_->enqueue_credit(id_, grant);
@@ -604,6 +603,15 @@ void MuxStream::shutdown_write() {
   maybe_retire();
 }
 
+void MuxStream::grant(std::size_t bytes) {
+  {
+    std::scoped_lock lock{mutex_};
+    if (bytes == 0 || dead_ || read_shutdown_ || remote_fin_) return;
+    recv_allowance_ += bytes;
+  }
+  conn_->enqueue_credit(id_, bytes);
+}
+
 void MuxStream::shutdown_read() {
   bool send_rst = false;
   {
@@ -627,6 +635,12 @@ std::string MuxStream::peer_description() const {
 void MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
   std::unique_lock lock{mutex_};
   if (read_shutdown_ || dead_) return;  // already RST'd; drop in-flight data
+  if (payload.size() > recv_allowance_) {
+    throw NetError{"mux stream " + std::to_string(id_) + ": peer sent " +
+                   std::to_string(payload.size()) + " bytes with " +
+                   std::to_string(recv_allowance_) + " of credit"};
+  }
+  recv_allowance_ -= payload.size();
   InSeg seg;
   seg.bytes.assign(payload.begin(), payload.end());
   if (ctx != nullptr) {
@@ -706,8 +720,7 @@ void MuxStream::maybe_retire() {
 // ---------------------------------------------------------------------------
 // MuxConnection implementation.
 
-void MuxConnection::start_dialer(std::size_t peer_window) {
-  peer_default_window_ = peer_window;
+void MuxConnection::start_dialer() {
   preface_done_ = true;  // exchanged synchronously by the dialing thread
   counters().connections.fetch_add(1, std::memory_order_relaxed);
   loop_.post([self = shared_from_this()] { self->register_with_loop(); });
@@ -741,22 +754,20 @@ void MuxConnection::register_with_loop() {
   if (!dead()) flush();
 }
 
-std::shared_ptr<MuxStream> MuxConnection::open_stream(std::size_t open_window,
+std::shared_ptr<MuxStream> MuxConnection::open_stream(std::size_t window,
                                                       std::size_t coalesce) {
   std::shared_ptr<MuxStream> stream;
   {
     std::scoped_lock lock{table_mutex_};
     if (dead()) throw NetError{"mux connection to " + peer_ + " is down"};
     const std::uint32_t id = next_stream_id_++;
-    stream = std::make_shared<MuxStream>(shared_from_this(), id,
-                                         peer_default_window_, open_window,
+    stream = std::make_shared<MuxStream>(shared_from_this(), id, window,
                                          coalesce);
     streams_.emplace(id, stream);
   }
   ByteVector frame;
   append_header(frame, stream->id(), MuxFrame::kOpen, 4);
-  append_u32(frame, static_cast<std::uint32_t>(
-                        std::min<std::size_t>(open_window, UINT32_MAX)));
+  append_u32(frame, static_cast<std::uint32_t>(window));
   push_control(std::move(frame));
   request_flush();
   return stream;
@@ -830,6 +841,9 @@ void MuxConnection::request_flush() {
 
 void MuxConnection::on_io(std::uint32_t events) {
   if (dead()) return;
+  // The loop holds only a raw Handler*, and a die() below drops the
+  // transport's reference: keep this connection alive until we return.
+  const auto self = shared_from_this();
   if ((events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) != 0) {
     handle_readable();
   }
@@ -926,7 +940,12 @@ void MuxConnection::handle_readable() {
       return;
     }
     in_buf_.insert(in_buf_.end(), scratch.data(), scratch.data() + *n);
-    parse_frames();
+    try {
+      parse_frames();
+    } catch (const NetError& e) {
+      die(e.what());
+      return;
+    }
     if (dead()) return;
   }
 }
@@ -936,11 +955,8 @@ void MuxConnection::parse_frames() {
   if (!preface_done_) {
     if (in_buf_.size() < kPrefaceSize) return;
     if (get_u32(in_buf_.data()) != kMuxMagic || in_buf_[4] != kMuxVersion) {
-      die("bad mux preface");
-      return;
+      throw NetError{"bad mux preface"};
     }
-    // The dialer's default_window is informational on this side: each
-    // stream's real window arrives with its OPEN frame.
     preface_done_ = true;
     pos = kPrefaceSize;
     if (handshake_timer_ != 0) {
@@ -953,10 +969,7 @@ void MuxConnection::parse_frames() {
     const std::uint32_t stream_id = get_u32(header);
     const std::uint8_t type = header[4];
     const std::size_t length = get_u32(header + 5);
-    if (length > kMaxFrameBytes) {
-      die("oversized mux frame");
-      return;
-    }
+    if (length > kMaxFrameBytes) throw NetError{"oversized mux frame"};
     if (in_buf_.size() - pos < kHeaderSize + length) break;
     dispatch_frame(stream_id, static_cast<MuxFrame>(type),
                    {in_buf_.data() + pos + kHeaderSize, length});
@@ -971,21 +984,24 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
                                    ByteSpan payload) {
   if (type == MuxFrame::kOpen) {
     if (dialer_ || payload.size() != 4) {
-      die("unexpected OPEN frame");
-      return;
+      throw NetError{"unexpected OPEN frame"};
+    }
+    // The window comes off the wire and bounds what this side buffers for
+    // the stream, so it is checked before anything is built from it.
+    const std::size_t window = get_u32(payload.data());
+    if (window == 0 || window > kMaxStreamWindow) {
+      throw NetError{"mux OPEN window " + std::to_string(window) +
+                     " outside 1.." + std::to_string(kMaxStreamWindow)};
     }
     auto listener = listener_.lock();
-    const std::size_t window = get_u32(payload.data());
     std::shared_ptr<MuxStream> stream;
     {
       std::scoped_lock lock{table_mutex_};
       if (streams_.count(stream_id) != 0) {
-        die("duplicate mux stream id");
-        return;
+        throw NetError{"duplicate mux stream id"};
       }
       stream = std::make_shared<MuxStream>(shared_from_this(), stream_id,
-                                           window, transport_.stream_window(),
-                                           transport_.coalesce());
+                                           window, transport_.coalesce());
       streams_.emplace(stream_id, stream);
     }
     if (listener) {
@@ -1012,8 +1028,7 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
       return;
     case MuxFrame::kDataTraced: {
       if (payload.size() < obs::TraceContext::kWireSize) {
-        die("short DATA_TRACED frame");
-        return;
+        throw NetError{"short DATA_TRACED frame"};
       }
       const obs::TraceContext ctx =
           obs::TraceContext::decode(payload.data());
@@ -1021,10 +1036,7 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
       return;
     }
     case MuxFrame::kCredit:
-      if (payload.size() != 4) {
-        die("malformed CREDIT frame");
-        return;
-      }
+      if (payload.size() != 4) throw NetError{"malformed CREDIT frame"};
       stream->on_credit(get_u32(payload.data()));
       return;
     case MuxFrame::kFin:
@@ -1036,7 +1048,7 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
     case MuxFrame::kOpen:
       return;  // handled above
   }
-  die("unknown mux frame type");
+  throw NetError{"unknown mux frame type"};
 }
 
 void MuxConnection::die(const std::string& why) {
@@ -1085,12 +1097,9 @@ void MuxListener::accept_loop(const std::stop_token& stop) {
       break;  // listener closed
     }
     try {
-      // Our preface goes out before the socket turns nonblocking: 9 bytes
+      // Our preface goes out before the socket turns nonblocking: 5 bytes
       // always fit the send buffer, and the dialer is waiting for them.
-      const ByteVector preface =
-          encode_preface(static_cast<std::uint32_t>(std::min<std::size_t>(
-              transport_.stream_window(), UINT32_MAX)));
-      raw.write_all(preface);
+      raw.write_all(encode_preface());
     } catch (const IoError& e) {
       log::debug("mux accept: preface write failed: ", e.what());
       continue;
@@ -1176,8 +1185,9 @@ std::shared_ptr<Stream> MuxTransport::dial(const std::string& host,
       all_.insert(conn);
     }
   }
-  const std::size_t window =
-      options.stream_window != 0 ? options.stream_window : stream_window_;
+  const std::size_t window = std::min(
+      options.stream_window != 0 ? options.stream_window : stream_window_,
+      kMaxStreamWindow);
   return public_handle(conn->open_stream(window, coalesce_));
 }
 
@@ -1185,10 +1195,9 @@ std::shared_ptr<MuxConnection> MuxTransport::establish(
     const std::string& host, std::uint16_t port,
     std::chrono::milliseconds timeout) {
   Socket raw = Socket::connect(host, port, timeout);
-  raw.write_all(encode_preface(static_cast<std::uint32_t>(
-      std::min<std::size_t>(stream_window_, UINT32_MAX))));
-  // Read the acceptor's preface synchronously: the dialer must know its
-  // default send window before the first stream writes.
+  raw.write_all(encode_preface());
+  // Read the acceptor's preface synchronously, so a peer that speaks
+  // something else fails the dial instead of the first stream.
   std::uint8_t preface[kPrefaceSize];
   std::size_t got = 0;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -1208,16 +1217,14 @@ std::shared_ptr<MuxConnection> MuxTransport::establish(
   }
   if (get_u32(preface) != kMuxMagic || preface[4] != kMuxVersion) {
     throw NetError{"bad mux preface from " + host + ":" +
-                   std::to_string(port) +
-                   " (is the peer running the blocking transport?)"};
+                   std::to_string(port)};
   }
-  const std::size_t peer_window = get_u32(preface + 5);
   auto socket = std::make_shared<Socket>(std::move(raw));
   socket->set_nonblocking(true);
   auto conn = std::make_shared<MuxConnection>(
       *this, next_loop(), std::move(socket), /*dialer=*/true,
       host + ":" + std::to_string(port), std::weak_ptr<MuxListener>{});
-  conn->start_dialer(peer_window);
+  conn->start_dialer();
   return conn;
 }
 
@@ -1247,8 +1254,8 @@ void MuxTransport::forget(const std::shared_ptr<MuxConnection>& conn) {
 
 /// Registers mux_stats() as the snapshot transport-stats source.  Runs at
 /// static init of this translation unit, which the linker pulls in for
-/// every binary that touches a Transport (transport_for references
-/// mux_transport); binaries that never do report zeros, correctly.
+/// every binary that touches a Transport (default_transport lives here);
+/// binaries that never do report zeros, correctly.
 const bool g_snapshot_source_registered = [] {
   obs::set_transport_stats_source([]() -> obs::TransportStats {
     const MuxStats stats = mux_stats();
@@ -1277,10 +1284,9 @@ MuxStats mux_stats() {
   return stats;
 }
 
-Transport& mux_transport() {
-  // Leaked on purpose (matches the blocking singleton and the reactor
-  // pool): loop threads must not be torn down by static destruction
-  // order.
+Transport& default_transport() {
+  // Leaked on purpose (like the reactor pool): loop threads must not be
+  // torn down by static destruction order.
   static MuxTransport* transport = new MuxTransport;
   return *transport;
 }

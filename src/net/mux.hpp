@@ -4,8 +4,7 @@
 
 #include "net/transport.hpp"
 
-/// The multiplexed transport backend (TransportKind::kMux) -- the
-/// compiled-in default transport (DPN_TRANSPORT=blocking opts out).
+/// The multiplexed transport, dpn's one backend (default_transport()).
 ///
 /// All logical streams between one pair of hosts share ONE TCP
 /// connection, driven by the per-core edge-triggered EventLoop pool
@@ -19,27 +18,30 @@
 /// Wire format (docs/PROTOCOLS.md Section 8).  Each side sends a preface
 /// immediately after connect:
 ///
-///   preface := magic:u32 'DPNM' version:u8 default_window:u32
+///   preface := magic:u32 'DPNM' version:u8
 ///
 /// then the connection carries frames:
 ///
 ///   frame := stream_id:u32 type:u8 length:u32 payload[length]
 ///
-///   OPEN(0)        payload = window:u32 -- dialer opens stream_id and
-///                  grants the acceptor `window` bytes of send credit
+///   OPEN(0)        payload = window:u32 -- dialer opens stream_id; both
+///                  directions start with `window` bytes of send credit
+///                  (1..kMaxStreamWindow, else the connection dies)
 ///   DATA(1)        payload = stream bytes (counted against the window)
 ///   DATA_TRACED(2) payload = TraceContext(17B) + stream bytes; the
 ///                  context bytes are NOT counted against the window
-///   CREDIT(3)      payload = bytes:u32 -- receiver consumed, send more
+///   CREDIT(3)      payload = bytes:u32 -- receiver consumed (or granted a
+///                  bonus), send more
 ///   FIN(4)         sender finished writing (ordered after its data)
 ///   RST(5)         sender stopped reading; peer writes fail
 ///
 /// Stream ids are allocated by the dialer only, so the two directions of
-/// dialing between a host pair can never collide.  The dialer's initial
-/// send window comes from the acceptor's preface default_window; the
-/// acceptor's from the OPEN frame (DialOptions::stream_window).  Credit
-/// is granted by the consuming side as it reads, mirroring the channel
-/// layer's remote-credit machinery one level down.
+/// dialing between a host pair can never collide.  The OPEN window
+/// (DialOptions::stream_window) is the initial send window of both
+/// directions; credit is granted by the consuming side as it reads.  A
+/// remote channel has no flow control of its own: this window *is* the
+/// channel's bound (Section 3.5 across machines), and a receiver kills a
+/// connection whose peer sends past the credit it was granted.
 ///
 /// Fairness: each connection flushes its ready streams round-robin, one
 /// chunk (<= NetworkOptions::coalesce_bytes) per turn, so one hot stream
@@ -62,9 +64,5 @@ struct MuxStats {
 };
 
 MuxStats mux_stats();
-
-/// The process-wide mux Transport singleton (drives its connections on
-/// the per-core reactor() pool; prefer transport_for(TransportKind::kMux)).
-Transport& mux_transport();
 
 }  // namespace dpn::net

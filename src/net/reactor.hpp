@@ -20,13 +20,12 @@
 ///     frames behind its reactor callbacks.
 ///
 ///   * fiber fd waits -- a fiber that would block in a *raw* socket
-///     operation (the blocking transport's read_some/wait_readable/
-///     connect) registers the descriptor here and parks on the
-///     scheduler's WaitQueue instead of pinning its OS worker in
-///     recv/poll.  The loop's edge notification makes the fiber
-///     runnable again.  This is what lets an M:N graph keep executing
-///     while some of its processes sit in blocking-transport socket
-///     reads.
+///     operation (Socket::read_some/wait_readable/connect, e.g. a mux
+///     dial establishing its connection) registers the descriptor here
+///     and parks on the scheduler's WaitQueue instead of pinning its OS
+///     worker in recv/poll.  The loop's edge notification makes the
+///     fiber runnable again, so an M:N graph keeps executing while some
+///     of its processes wait on a socket.
 ///
 /// Loops are created lazily: a process that never touches the network
 /// spawns no reactor threads, and one with a single connection spawns

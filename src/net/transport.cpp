@@ -1,11 +1,7 @@
 #include "net/transport.hpp"
 
-#include <cstdlib>
-#include <mutex>
-
 #include "obs/metrics.hpp"
 #include "support/bytes.hpp"
-#include "support/log.hpp"
 
 namespace dpn::net {
 
@@ -19,91 +15,9 @@ void Stream::write_vectored(ByteSpan a, ByteSpan b) {
   write_all({merged.data(), merged.size()});
 }
 
-const char* to_string(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kBlocking:
-      return "blocking";
-    case TransportKind::kMux:
-      return "mux";
-  }
-  return "?";
-}
-
-NetworkOptions NetworkOptions::from_env() {
-  NetworkOptions options;  // mux is the compiled-in default
-  if (const char* env = std::getenv("DPN_TRANSPORT")) {
-    const std::string value{env};
-    if (value == "blocking") {
-      options.transport = TransportKind::kBlocking;
-    } else if (value != "mux") {
-      log::warn("DPN_TRANSPORT='", value,
-                "' not recognized (blocking|mux); keeping mux");
-    }
-  }
-  return options;
-}
-
 NetworkOptions& network_options() {
-  static NetworkOptions* options = new NetworkOptions{NetworkOptions::from_env()};
+  static NetworkOptions* options = new NetworkOptions;
   return *options;
-}
-
-namespace {
-
-/// The classic backend: one TCP connection per stream, blocking reads and
-/// writes on the caller's thread (fiber callers park on the reactor via
-/// the Socket layer).  Everything PR 0-6 did, behind the new interface;
-/// opt back in with DPN_TRANSPORT=blocking.
-class BlockingListener final : public Listener {
- public:
-  explicit BlockingListener(std::uint16_t port) : server_(port) {}
-
-  std::shared_ptr<Stream> accept() override {
-    return std::make_shared<SocketStream>(server_.accept());
-  }
-
-  std::uint16_t port() const override { return server_.port(); }
-  void close() override { server_.close(); }
-  bool closed() const override { return server_.closed(); }
-
- private:
-  ServerSocket server_;
-};
-
-class BlockingTransport final : public Transport {
- public:
-  TransportKind kind() const override { return TransportKind::kBlocking; }
-
-  std::shared_ptr<Stream> dial(const std::string& host, std::uint16_t port,
-                               const DialOptions& options) override {
-    return std::make_shared<SocketStream>(
-        Socket::connect(host, port, options.timeout));
-  }
-
-  std::shared_ptr<Listener> listen(std::uint16_t port) override {
-    return std::make_shared<BlockingListener>(port);
-  }
-};
-
-}  // namespace
-
-// Defined in net/mux.cpp; declared here so transport.cpp stays the only
-// registry of backends.
-Transport& mux_transport();
-
-Transport& transport_for(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kMux:
-      return mux_transport();
-    case TransportKind::kBlocking:
-      break;
-  }
-  static BlockingTransport* blocking = new BlockingTransport;
-  return *blocking;
-}
-
-Transport& default_transport() {
-  return transport_for(network_options().transport);
 }
 
 std::shared_ptr<Stream> dial_with_retry(Transport& transport,

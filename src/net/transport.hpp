@@ -13,32 +13,20 @@
 /// The transport abstraction: every wire conversation in dpn -- remote
 /// channel segments, rendezvous handshakes, compute-server and registry
 /// requests -- runs over a `Stream` obtained from a `Transport`, never
-/// over a raw Socket.  Two backends implement the interface:
-///
-///   * kMux      -- the event-loop backend (net/mux.hpp) and the
-///     compiled-in DEFAULT: all streams to the same host:port share one
-///     TCP connection, multiplexed as stream-id-tagged frames with
-///     per-stream credit windows, driven by the per-core epoll reactor
-///     pool (net/reactor.hpp).  Connection count is O(hosts), so 50k
-///     logical channels do not need 50k descriptors.
-///
-///   * kBlocking -- the classic one-TCP-connection-per-stream backend
-///     (DPN_TRANSPORT=blocking opts back into it): dial() is
-///     Socket::connect, listen() wraps a ServerSocket, and every Stream
-///     owns its own descriptor.  Simple and debuggable; its raw socket
-///     waits are fiber-aware (they park on the reactor), so it composes
-///     with the M:N scheduler too -- it just spends O(channels) fds.
-///
-/// The backend is selected process-wide via NetworkOptions::transport
-/// (env: DPN_TRANSPORT=blocking|mux); both ends of a conversation must
-/// agree, exactly like they must agree on the frame protocol version.
+/// over a raw Socket.  The one backend is the multiplexed transport
+/// (net/mux.hpp): all streams to the same host:port share one TCP
+/// connection, multiplexed as stream-id-tagged frames with a credit
+/// window per stream, driven by the per-core epoll reactor pool
+/// (net/reactor.hpp).  Connection count is O(hosts), so 50k logical
+/// channels do not need 50k descriptors, and the stream window is the
+/// flow control of every remote channel (docs/PROTOCOLS.md Section 3).
 namespace dpn::net {
 
 /// A bidirectional byte stream between two endpoints.  The semantics
-/// mirror Socket (the blocking backend is a 1:1 wrapper): reads block for
-/// at least one byte and return 0 only at end-of-stream, writes block for
-/// flow control and throw ChannelClosed once the peer is gone, and the
-/// two directions shut down independently.
+/// mirror Socket: reads block for at least one byte and return 0 only at
+/// end-of-stream, writes block while the stream's send window is spent
+/// and throw ChannelClosed once the peer stopped reading, and the two
+/// directions shut down independently.
 class Stream {
  public:
   virtual ~Stream() = default;
@@ -65,58 +53,17 @@ class Stream {
   /// next write fails with ChannelClosed.
   virtual void shutdown_read() = 0;
 
-  /// "I will never read again, but everything I wrote must still be
-  /// delivered."  Where the transport can fail the peer's future writes
-  /// in this direction without endangering our own outbound bytes, it
-  /// does (mux: a per-stream RST frame, which unparks a peer stalled on
-  /// this direction's credit window); where it cannot, this is a no-op.
-  /// The default no-op is correct for TCP-per-stream: a SHUT_RD socket
-  /// answers later-arriving bytes with a connection-wide RST, which
-  /// would destroy our undelivered tail and FIN along with the peer's
-  /// void bytes.
-  virtual void abandon_read() {}
+  /// Grants the peer `bytes` of send window on this stream on top of what
+  /// consumption returns (mux: one CREDIT frame).  The distributed
+  /// deadlock resolver's bonus -- the remote analogue of growing a full
+  /// channel.  A no-op once this side stopped reading or the peer
+  /// finished.
+  virtual void grant(std::size_t bytes) = 0;
 
   /// Full close (both directions).  Idempotent.
   virtual void close() = 0;
 
   virtual std::string peer_description() const = 0;
-};
-
-/// The blocking backend's Stream: one connected socket per stream.
-class SocketStream final : public Stream {
- public:
-  explicit SocketStream(std::shared_ptr<Socket> socket)
-      : socket_(std::move(socket)) {}
-  explicit SocketStream(Socket socket)
-      : socket_(std::make_shared<Socket>(std::move(socket))) {}
-
-  std::size_t read_some(MutableByteSpan out) override {
-    return socket_->read_some(out);
-  }
-  void write_all(ByteSpan data) override { socket_->write_all(data); }
-  void write_vectored(ByteSpan a, ByteSpan b) override {
-    socket_->write_vectored(a, b);
-  }
-  bool wait_readable(std::chrono::milliseconds timeout) override {
-    return socket_->wait_readable(timeout);
-  }
-  void shutdown_write() override { socket_->shutdown_write(); }
-  void shutdown_read() override { socket_->shutdown_read(); }
-  void close() override {
-    // Shutdown, not descriptor close: a concurrently blocked read on
-    // another thread must wake instead of racing descriptor reuse.  The
-    // fd is released when the last reference drops.
-    socket_->shutdown_read();
-    socket_->shutdown_write();
-  }
-  std::string peer_description() const override {
-    return socket_->peer_description();
-  }
-
-  const std::shared_ptr<Socket>& socket() const { return socket_; }
-
- private:
-  std::shared_ptr<Socket> socket_;
 };
 
 /// InputStream adapter over a shared Stream (the receive direction).
@@ -154,9 +101,8 @@ class StreamOutput final : public io::OutputStream {
   std::shared_ptr<Stream> stream_;
 };
 
-/// An accepting endpoint: one bound port yielding inbound Streams.  On
-/// the blocking backend every accept is a fresh TCP connection; on the
-/// mux backend it is a logical stream opened over a shared connection.
+/// An accepting endpoint: one bound port yielding inbound Streams, each a
+/// logical stream a peer opened over a shared connection.
 class Listener {
  public:
   virtual ~Listener() = default;
@@ -171,53 +117,57 @@ class Listener {
   virtual bool closed() const = 0;
 };
 
+/// The transport backends.  Mux is the only one; the enum and
+/// NetworkOptions::transport survive only because the benchmark harness
+/// (perfbench/bench.cpp) assigns the field, and that file changes only
+/// together with the benchmark itself.
 enum class TransportKind : std::uint8_t {
-  kBlocking = 0,  // thread-per-connection, one socket per stream
-  kMux = 1,       // event loop, one connection per host pair
+  kMux,  // event loop, one connection per host pair
 };
-
-const char* to_string(TransportKind kind);
 
 /// Per-dial tuning (all optional; zero means "transport default").
 struct DialOptions {
   std::chrono::milliseconds timeout = Socket::kDefaultConnectTimeout;
-  /// Mux only: initial credit window granted to the *peer* for data it
-  /// sends back on this stream (a consumer dialing a producer sizes the
-  /// producer's window with this).  0 = NetworkOptions::stream_window.
+  /// Initial credit window of BOTH directions of the new stream, carried
+  /// by the mux OPEN frame: the bytes either side may send before the
+  /// other's consumption grants more.  A remote channel's producer window
+  /// is decided here, by whichever endpoint dials.  0 =
+  /// NetworkOptions::stream_window; values above kMaxStreamWindow are
+  /// clamped to it.
   std::size_t stream_window = 0;
 };
 
-/// Process-wide network configuration, read once from the environment and
-/// adjustable in code before the first transport use.
+/// Largest per-stream window a mux OPEN may carry -- and so the most one
+/// logical stream may buffer unconsumed at its receiver.  An OPEN
+/// announcing 0 or more than this kills the connection (NetError).
+inline constexpr std::size_t kMaxStreamWindow = std::size_t{1} << 26;
+
+/// Process-wide network configuration, adjustable in code before the
+/// first transport use.
 struct NetworkOptions {
+  /// Always kMux (see TransportKind).
   TransportKind transport = TransportKind::kMux;
-  /// Mux: default per-stream credit window (bytes a peer may send on one
+  /// Default per-stream credit window (bytes a peer may send on one
   /// logical stream before the receiver's consumption grants more).
   std::size_t stream_window = std::size_t{1} << 18;
-  /// Mux: round-robin flush quantum -- bytes one stream may put on the
-  /// wire per turn while siblings wait (fairness granularity), and the
+  /// Round-robin flush quantum -- bytes one stream may put on the wire
+  /// per turn while siblings wait (fairness granularity), and the
   /// coalescing target for small writes.
   std::size_t coalesce_bytes = std::size_t{16} << 10;
-
-  /// DPN_TRANSPORT=blocking|mux (unset or anything else: mux, the
-  /// default; unknown values log a warning).
-  static NetworkOptions from_env();
 };
 
-/// The mutable process-wide options (initialized from from_env()).
-/// Mutate before creating listeners/nodes; a Transport already
-/// constructed keeps the settings it captured.
+/// The mutable process-wide options.  Mutate before creating
+/// listeners/nodes; a Transport already constructed keeps the settings it
+/// captured.
 NetworkOptions& network_options();
 
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  virtual TransportKind kind() const = 0;
-
-  /// Opens a stream to host:port.  On the mux backend this reuses (or
-  /// establishes) the one shared connection to that host:port and opens a
-  /// logical stream over it.  Throws NetError on failure or timeout.
+  /// Opens a stream to host:port: reuses (or establishes) the one shared
+  /// connection to that host:port and opens a logical stream over it.
+  /// Throws NetError on failure or timeout.
   virtual std::shared_ptr<Stream> dial(const std::string& host,
                                        std::uint16_t port,
                                        const DialOptions& options = {}) = 0;
@@ -226,12 +176,8 @@ class Transport {
   virtual std::shared_ptr<Listener> listen(std::uint16_t port = 0) = 0;
 };
 
-/// The process-wide Transport singleton of a given kind (constructed on
-/// first use; the mux kind owns the process's EventLoop).
-Transport& transport_for(TransportKind kind);
-
-/// transport_for(network_options().transport): what call sites use unless
-/// they have a reason to pin a backend.
+/// The process-wide mux Transport (constructed on first use; drives its
+/// connections on the per-core reactor() pool).
 Transport& default_transport();
 
 /// Transport::dial wrapped in fault::with_retry, recording the whole

@@ -160,9 +160,9 @@ struct NetworkSnapshot {
   std::uint64_t sched_dispatches = 0;
   std::uint64_t sched_parks = 0;
 
-  // --- mux transport counters (version >= 5; zero on the blocking
-  // transport, filled from net::mux_stats() through the registered
-  // transport-stats source otherwise) ---
+  // --- mux transport counters (version >= 5; filled from
+  // net::mux_stats() through the registered transport-stats source, zero
+  // in a process that never touched the network) ---
   std::uint64_t mux_connections = 0;
   std::uint64_t mux_streams_active = 0;
   std::uint64_t mux_streams_total = 0;

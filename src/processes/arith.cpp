@@ -17,7 +17,11 @@ void Add::step() {
   io::DataOutputStream out{output(0)};
   const std::int64_t x = a.read_i64();
   const std::int64_t y = b.read_i64();
-  out.write_i64(x + y);
+  // Wraps on overflow like the paper's Java long addition (a long
+  // Fibonacci feedback loop gets there); signed overflow is undefined in
+  // C++, so the sum is taken unsigned.
+  out.write_i64(static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                          static_cast<std::uint64_t>(y)));
 }
 
 void Add::write_fields(serial::ObjectOutputStream& out) const {

@@ -6,7 +6,6 @@
 
 #include "core/network.hpp"
 #include "dist/ship.hpp"
-#include "net/transport.hpp"
 #include "factor/factor.hpp"
 #include "par/schema.hpp"
 #include "processes/arith.hpp"
@@ -128,7 +127,9 @@ std::vector<std::int64_t> mixed_graph_oracle(std::size_t count) {
   std::vector<std::int64_t> fib;
   for (std::int64_t a = 1, b = 1; fib.size() < 4 * count;) {
     fib.push_back(a);
-    const std::int64_t next = a + b;
+    // Wrapping, like processes::Add: the history outruns int64.
+    const auto next = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                                static_cast<std::uint64_t>(b));
     a = b;
     b = next;
   }
@@ -214,39 +215,26 @@ TEST(Determinacy, DistributedRunMatchesLocalRun) {
 // --- Transport x scheduler matrix -------------------------------------------
 //
 // Determinacy must also survive the transport substrate: the same
-// distributed pipeline run over the blocking transport (one TCP
-// connection per channel) and the mux transport (stream-id-tagged frames
-// over one connection per host pair), under both thread-per-process and
-// M:N work-stealing execution, must produce byte-identical histories.
+// distributed pipeline run over the mux transport (stream-id-tagged
+// frames over one connection per host pair), under both
+// thread-per-process and M:N work-stealing execution, must produce
+// byte-identical histories.
 
 struct TransportSchedConfig {
   std::string label;
-  net::TransportKind transport;
   sched::SchedulerOptions sched;
 };
 
 std::vector<TransportSchedConfig> transport_matrix() {
-  std::vector<TransportSchedConfig> matrix;
-  for (const net::TransportKind kind :
-       {net::TransportKind::kBlocking, net::TransportKind::kMux}) {
-    const std::string name =
-        kind == net::TransportKind::kMux ? "mux" : "blocking";
-    matrix.push_back({name + " / threads", kind, {}});
-    sched::SchedulerOptions mn;
-    mn.mode = sched::SchedMode::kWorkSteal;
-    mn.workers = 2;
-    matrix.push_back({name + " / work-steal x2", kind, mn});
-  }
-  return matrix;
+  sched::SchedulerOptions mn;
+  mn.mode = sched::SchedMode::kWorkSteal;
+  mn.workers = 2;
+  return {{"mux / threads", {}}, {"mux / work-steal x2", mn}};
 }
 
 TEST(TransportMatrix, DistributedHistoryByteIdentical) {
-  const net::TransportKind saved = net::network_options().transport;
   std::vector<std::int64_t> reference;
   for (const auto& config : transport_matrix()) {
-    net::network_options().transport = config.transport;
-    // Nodes are created after the transport switch so their rendezvous
-    // listeners (and every dial-back) use the row's backend.
     auto node_a = dist::NodeContext::create();
     auto node_b = dist::NodeContext::create();
 
@@ -286,7 +274,6 @@ TEST(TransportMatrix, DistributedHistoryByteIdentical) {
       EXPECT_EQ(values, reference) << config.label;
     }
   }
-  net::network_options().transport = saved;
 }
 
 // --- Scheduler matrix -------------------------------------------------------

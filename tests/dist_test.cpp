@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <thread>
 
 #include "core/network.hpp"
@@ -12,10 +13,12 @@
 #include "dist/ship.hpp"
 #include "dist/weak_registry.hpp"
 #include "io/data.hpp"
+#include "net/mux.hpp"
 #include "net/transport.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
 #include "processes/arith.hpp"
+#include "sched/scheduler.hpp"
 #include "support/quarters.hpp"
 
 namespace dpn::dist {
@@ -122,17 +125,6 @@ TEST(WeakRegistry, StorageShrinksAfterMostEntriesExpire) {
   }
 }
 
-TEST(WeakRegistry, TakeRemovesTheKeyedEntry) {
-  WeakRegistry<int, /*Keyed=*/true> registry;
-  auto value = std::make_shared<int>(5);
-  registry.insert(11, value);
-  registry.insert(12, std::make_shared<int>(6));  // expires at once
-  EXPECT_EQ(registry.take(11), value);
-  EXPECT_EQ(registry.take(11), nullptr);
-  EXPECT_EQ(registry.take(12), nullptr);  // expired, but still removed
-  EXPECT_EQ(registry.stored(), 0u);
-}
-
 /// A transport-free stream that records what reaches it.
 class RecordingStream final : public net::Stream {
  public:
@@ -141,10 +133,12 @@ class RecordingStream final : public net::Stream {
   bool wait_readable(std::chrono::milliseconds) override { return true; }
   void shutdown_write() override { write_shut = true; }
   void shutdown_read() override { read_shut = true; }
+  void grant(std::size_t bytes) override { granted += bytes; }
   void close() override {}
   std::string peer_description() const override { return "recording"; }
 
   std::atomic<std::size_t> written{0};
+  std::atomic<std::size_t> granted{0};
   std::atomic<bool> read_shut{false};
   std::atomic<bool> write_shut{false};
 };
@@ -187,46 +181,173 @@ TEST(NodeRegistries, GrantReachesEveryLiveInputAfterPruning) {
   EXPECT_LE(node->registry_sizes().inputs, 2 * kept.size() + kPruneSlack);
   node->grant_remote_credits();
   for (const auto& stream : kept_streams) {
-    EXPECT_GT(stream->written.load(), 0u);  // one CREDIT frame each
+    EXPECT_EQ(stream->granted.load(), node->remote_window());
   }
 }
 
-TEST(NodeRegistries, CloseWakesAndRemovesItsCreditWaiter) {
-  auto node = NodeContext::create();
-  std::vector<std::shared_ptr<FrameChannelOutput>> kept;
-  std::vector<std::shared_ptr<RecordingStream>> kept_streams;
-  std::vector<std::uint64_t> kept_tokens;
-  for (int i = 0; i < kRegistrations; ++i) {
-    auto stream = std::make_shared<RecordingStream>();
-    auto output = std::make_shared<FrameChannelOutput>(stream, PeerAddress{},
-                                                       node);
-    const std::uint64_t token = node->next_token();
-    node->register_credit_waiter(token, output);
-    if (i % kKeepEvery == 0) {
-      kept.push_back(output);
-      kept_streams.push_back(stream);
-      kept_tokens.push_back(token);
-    }
-  }
-  const std::size_t stored = node->registry_sizes().credit_waiters;
-  EXPECT_LE(stored, 2 * kept.size() + kPruneSlack);
+// --- One flow-control loop ---------------------------------------------------
+//
+// A remote channel's bound is its mux stream's credit window: a producer
+// past it stalls inside the transport, and a consumer's close resets the
+// stream, which wakes that stall into ChannelClosed.
 
-  // peer_closed() shuts the waiter's receive side down; the handler
-  // removes the entry before it calls peer_closed().
-  constexpr std::size_t kTarget = 3;
-  auto notification = RendezvousService::send_close(
-      "127.0.0.1", node->rendezvous().port(), kept_tokens[kTarget]);
+constexpr std::size_t kTinyWindow = 64;  // 4 i64 frames, header included
+
+/// Ships a channel endpoint from one node to another and returns the
+/// endpoint rebuilt there.
+template <typename Endpoint>
+std::shared_ptr<Endpoint> ship_endpoint(
+    const std::shared_ptr<NodeContext>& from,
+    const std::shared_ptr<NodeContext>& to,
+    const std::shared_ptr<Endpoint>& endpoint) {
+  const ByteVector bytes = ship_object(from, endpoint);
+  auto shipped = std::dynamic_pointer_cast<Endpoint>(
+      receive_object(to, {bytes.data(), bytes.size()}));
+  EXPECT_TRUE(shipped);
+  return shipped;
+}
+
+/// Polls `done` for up to 30 s.
+template <typename Pred>
+bool eventually(Pred done) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds{30};
-  while (!kept_streams[kTarget]->read_shut &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
-  ASSERT_TRUE(kept_streams[kTarget]->read_shut);
-  EXPECT_EQ(node->registry_sizes().credit_waiters, stored - 1);
-  for (std::size_t i = 0; i < kept_streams.size(); ++i) {
-    EXPECT_EQ(kept_streams[i]->read_shut.load(), i == kTarget) << i;
+  return true;
+}
+
+/// Aborts both nodes' remote channels when it goes out of scope, so a
+/// failed assertion cannot leave a producer parked on its window and hang
+/// the join that follows.
+struct AbortOnExit {
+  std::shared_ptr<NodeContext> a;
+  std::shared_ptr<NodeContext> b;
+  ~AbortOnExit() {
+    a->abort_remote_channels();
+    b->abort_remote_channels();
   }
+};
+
+enum class WriterEnd { kRunning, kChannelClosed, kOtherError };
+
+/// A producer writes i64s into a remote channel whose window is
+/// kTinyWindow while its consumer reads three of them and then stops.
+/// Once the producer is stalled on the exhausted window, the consumer
+/// closes; the producer must wake with ChannelClosed.  `ship_consumer`
+/// picks which endpoint crosses to the other node (and so which side
+/// dials); `fibers` runs the producer as a fiber on a one-worker M:N
+/// scheduler instead of a thread.
+void expect_close_wakes_stalled_producer(bool ship_consumer, bool fibers) {
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  node_a->set_remote_window(kTinyWindow);
+  node_b->set_remote_window(kTinyWindow);
+  auto channel = std::make_shared<Channel>(256, "stalled");
+
+  std::shared_ptr<core::ChannelInputStream> consumer = channel->input();
+  std::shared_ptr<core::ChannelOutputStream> producer = channel->output();
+  if (ship_consumer) {
+    consumer = ship_endpoint(node_a, node_b, consumer);
+  } else {
+    producer = ship_endpoint(node_a, node_b, producer);
+  }
+  ASSERT_TRUE(consumer && producer);
+
+  const std::uint64_t stalls_before = net::mux_stats().credit_stalls;
+  std::atomic<WriterEnd> end{WriterEnd::kRunning};
+  std::atomic<long> written{0};
+  const auto write_until_closed = [&] {
+    io::DataOutputStream out{producer};
+    try {
+      for (long i = 0; i < 1'000'000; ++i) {
+        out.write_i64(i);
+        written.store(i + 1);
+      }
+      end.store(WriterEnd::kOtherError);  // never stalled
+    } catch (const ChannelClosed&) {
+      end.store(WriterEnd::kChannelClosed);
+    } catch (const std::exception&) {
+      end.store(WriterEnd::kOtherError);
+    }
+  };
+  std::optional<sched::Scheduler> scheduler;
+  std::jthread thread;
+  if (fibers) {
+    sched::SchedulerOptions options;
+    options.mode = sched::SchedMode::kWorkSteal;
+    options.workers = 1;
+    scheduler.emplace(options);
+    scheduler->spawn(write_until_closed, "producer");
+  } else {
+    thread = std::jthread{write_until_closed};
+  }
+  const AbortOnExit unwedge{node_a, node_b};
+
+  io::DataInputStream in{consumer};
+  for (long i = 0; i < 3; ++i) EXPECT_EQ(in.read_i64(), i);
+  ASSERT_TRUE(eventually(
+      [&] { return net::mux_stats().credit_stalls > stalls_before; }));
+  // Wedged on the window, not merely slow: the count stops moving.
+  ASSERT_TRUE(eventually([&] {
+    const long seen = written.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds{20});
+    return written.load() == seen;
+  }));
+  EXPECT_EQ(end.load(), WriterEnd::kRunning);
+
+  consumer->close();
+  ASSERT_TRUE(eventually([&] { return end.load() != WriterEnd::kRunning; }))
+      << "producer still stalled on the window";
+  EXPECT_EQ(end.load(), WriterEnd::kChannelClosed);
+  if (scheduler) scheduler->shutdown();
+}
+
+TEST(RemoteClose, ConsumerShippedWakesStalledProducerThread) {
+  expect_close_wakes_stalled_producer(/*ship_consumer=*/true,
+                                      /*fibers=*/false);
+}
+
+TEST(RemoteClose, ConsumerShippedWakesStalledProducerFiber) {
+  expect_close_wakes_stalled_producer(/*ship_consumer=*/true,
+                                      /*fibers=*/true);
+}
+
+TEST(RemoteClose, ProducerShippedWakesStalledProducerThread) {
+  expect_close_wakes_stalled_producer(/*ship_consumer=*/false,
+                                      /*fibers=*/false);
+}
+
+TEST(RemoteClose, ProducerShippedWakesStalledProducerFiber) {
+  expect_close_wakes_stalled_producer(/*ship_consumer=*/false,
+                                      /*fibers=*/true);
+}
+
+TEST(RemoteWindow, ExhaustedWindowStallsInTheMuxStream) {
+  // One loop: a producer held back by set_remote_window() waits on its
+  // mux stream's credit, so the stall is a mux credit stall.
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  node_a->set_remote_window(kTinyWindow);
+  auto channel = std::make_shared<Channel>(256, "window");
+  auto consumer = ship_endpoint(node_a, node_b, channel->input());
+  ASSERT_TRUE(consumer);
+
+  const std::uint64_t stalls_before = net::mux_stats().credit_stalls;
+  std::jthread writer{[producer = channel->output()] {
+    io::DataOutputStream out{producer};
+    try {
+      for (long i = 0; i < 1'000'000; ++i) out.write_i64(i);
+    } catch (const IoError&) {
+    }
+  }};
+  const AbortOnExit unwedge{node_a, node_b};  // wakes the writer
+  EXPECT_TRUE(eventually([&] {
+    return net::mux_stats().credit_stalls > stalls_before &&
+           node_a->traffic()->blocked_remote_writers.load() > 0;
+  }));
 }
 
 // --- Shipping a process across a cut channel -----------------------------------
@@ -587,12 +708,6 @@ TEST(Ship, DistributedFibonacciMatchesLocal) {
 /// runs the graph, checks every sink, and returns each receive's time in
 /// microseconds, in order.
 std::vector<double> receive_times_over_mux(std::size_t sources) {
-  struct TransportGuard {
-    net::TransportKind saved = net::network_options().transport;
-    ~TransportGuard() { net::network_options().transport = saved; }
-  } guard;
-  net::network_options().transport = net::TransportKind::kMux;
-
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
   sched::SchedulerOptions fibers;

@@ -407,13 +407,6 @@ TEST(Fault, MuxConnectionKilledSurfacesWorkerLostPerStream) {
   // node A.  Kill that shared connection after a byte budget: every
   // affected consumer must see WorkerLost promptly -- not a hang, and
   // not a silent truncation dressed up as a clean end-of-stream.
-  const net::TransportKind saved = net::network_options().transport;
-  net::network_options().transport = net::TransportKind::kMux;
-  struct RestoreTransport {
-    net::TransportKind saved;
-    ~RestoreTransport() { net::network_options().transport = saved; }
-  } restore{saved};
-
   auto node_a = dist::NodeContext::create();
   auto node_b = dist::NodeContext::create();
 

@@ -9,6 +9,7 @@
 #include "io/memory.hpp"
 #include "net/event_loop.hpp"
 #include "net/frames.hpp"
+#include "net/mux.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -245,15 +246,21 @@ TEST(Frames, ControlFramesAreOneWriteOperation) {
   FrameWriter writer{sink};
   writer.write_fin();
   EXPECT_EQ(sink->ops, 1);
-  writer.write_credit(4096);
+  RedirectInfo info;
+  info.host = "10.0.0.1";
+  info.port = 4000;
+  info.token = 77;
+  writer.write_redirect(info);
   EXPECT_EQ(sink->ops, 2);
 
   FrameReader reader{std::make_shared<io::MemoryInputStream>(sink->bytes)};
   EXPECT_EQ(reader.read_frame().type, FrameType::kFin);
-  const Frame credit = reader.read_frame();
-  EXPECT_EQ(credit.type, FrameType::kCredit);
-  ASSERT_EQ(credit.payload.size(), 4u);
-  EXPECT_EQ(get_u32(credit.payload.data()), 4096u);
+  const Frame redirect = reader.read_frame();
+  EXPECT_EQ(redirect.type, FrameType::kRedirect);
+  EXPECT_EQ(RedirectInfo::decode({redirect.payload.data(),
+                                  redirect.payload.size()})
+                .token,
+            77u);
 }
 
 TEST(Frames, EmptyDataFrameElided) {
@@ -473,20 +480,70 @@ TEST(Reactor, FiberWaitReadableTimesOutWithoutStallingWorker) {
   scheduler.shutdown();
 }
 
-// --- Transport selection -----------------------------------------------------
+// --- Hostile mux OPEN -----------------------------------------------------------
+//
+// The OPEN window comes off the wire and bounds what the acceptor buffers
+// for the stream, so a value of 0 or above kMaxStreamWindow must kill the
+// connection before anything is built from it.
 
-TEST(Transport, MuxIsTheDefaultWithBlockingOptOut) {
-  EXPECT_EQ(NetworkOptions{}.transport, TransportKind::kMux);
+/// Dials a mux listener with a raw socket, exchanges prefaces
+/// (docs/PROTOCOLS.md Section 8: 'DPNM', version 2) and sends one OPEN
+/// announcing `window`.
+Socket open_raw_stream(const Listener& listener, std::uint32_t window) {
+  Socket raw = Socket::connect("127.0.0.1", listener.port());
+  std::uint8_t preface[5];
+  for (std::size_t got = 0; got < sizeof preface;) {
+    const std::size_t n = raw.read_some({preface + got, sizeof preface - got});
+    if (n == 0) throw NetError{"listener hung up during the preface"};
+    got += n;
+  }
+  EXPECT_EQ(get_u32(preface), 0x44504E4Du);
+  std::uint8_t bytes[5 + 9 + 4];
+  put_u32(bytes, 0x44504E4D);
+  bytes[4] = 2;
+  put_u32(bytes + 5, 1);  // stream id
+  bytes[9] = 0;           // OPEN
+  put_u32(bytes + 10, 4);
+  put_u32(bytes + 14, window);
+  raw.write_all({bytes, sizeof bytes});
+  return raw;
+}
 
-  unsetenv("DPN_TRANSPORT");
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kMux);
-  setenv("DPN_TRANSPORT", "blocking", 1);
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kBlocking);
-  setenv("DPN_TRANSPORT", "mux", 1);
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kMux);
-  setenv("DPN_TRANSPORT", "warp-drive", 1);  // unknown: warn, keep mux
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kMux);
-  unsetenv("DPN_TRANSPORT");
+/// True if the peer drops `raw` (EOF or reset) within `timeout`.
+bool dropped_within(Socket& raw, std::chrono::milliseconds timeout) {
+  if (!raw.wait_readable(timeout)) return false;
+  std::uint8_t byte = 0;
+  try {
+    return raw.read_some({&byte, 1}) == 0;
+  } catch (const IoError&) {
+    return true;  // reset
+  }
+}
+
+TEST(MuxHostile, OpenWindowOutOfRangeKillsTheConnection) {
+  auto listener = default_transport().listen(0);
+  const std::uint64_t streams_before = mux_stats().streams_total;
+  for (const std::uint64_t window :
+       {std::uint64_t{0}, std::uint64_t{kMaxStreamWindow} + 1,
+        std::uint64_t{0xFFFFFFFF}}) {
+    Socket raw =
+        open_raw_stream(*listener, static_cast<std::uint32_t>(window));
+    EXPECT_TRUE(dropped_within(raw, std::chrono::seconds{10})) << window;
+  }
+  // No stream -- and so no receive buffering -- was built from them.
+  EXPECT_EQ(mux_stats().streams_total, streams_before);
+}
+
+TEST(MuxHostile, OpenWindowAtTheCapIsAccepted) {
+  // The control: the same bytes with the largest legal window yield a
+  // stream and keep the connection up.
+  auto listener = default_transport().listen(0);
+  Socket raw = open_raw_stream(
+      *listener, static_cast<std::uint32_t>(kMaxStreamWindow));
+  auto stream = listener->accept();
+  ASSERT_TRUE(stream != nullptr);
+  EXPECT_FALSE(dropped_within(raw, std::chrono::milliseconds{200}));
+  listener->close();
 }
 
 TEST(Frames, OverSocketEndToEnd) {
