@@ -83,6 +83,7 @@ void IterativeProcess::request_pause() {
   std::scoped_lock lock{state_mutex_};
   if (state_ == RunState::kIdle) {
     state_ = RunState::kPauseRequested;
+    pause_requested_.store(true, std::memory_order_release);
     state_cv_.notify_all();
   }
 }
@@ -102,6 +103,7 @@ void IterativeProcess::resume() {
       throw UsageError{"resume() on a process that is not paused"};
     }
     state_ = RunState::kIdle;
+    wake_paused_fibers_locked();
   }
   state_cv_.notify_all();
 }
@@ -113,6 +115,7 @@ void IterativeProcess::abandon() {
       throw UsageError{"abandon() on a process that is not paused"};
     }
     state_ = RunState::kAbandoned;
+    wake_paused_fibers_locked();
   }
   state_cv_.notify_all();
 }
@@ -123,16 +126,31 @@ bool IterativeProcess::paused() const {
 }
 
 bool IterativeProcess::pause_point() {
+  if (!pause_requested_.load(std::memory_order_acquire)) return true;
   std::unique_lock lock{state_mutex_};
+  pause_requested_.store(false, std::memory_order_relaxed);
   if (state_ != RunState::kPauseRequested) return true;
   state_ = RunState::kPaused;
   stats()->set_state(obs::ProcessState::kPaused);
   state_cv_.notify_all();
-  state_cv_.wait(lock, [&] {
-    return state_ == RunState::kIdle || state_ == RunState::kAbandoned;
-  });
+  while (state_ != RunState::kIdle && state_ != RunState::kAbandoned) {
+    if (sched::on_fiber()) {
+      // Suspend the fiber, not the worker: the other processes on this
+      // worker (the consumer draining our backlog, say) keep running.
+      sched::suspend_current(paused_fibers_, lock);
+      lock.lock();
+    } else {
+      state_cv_.wait(lock);
+    }
+  }
   stats()->set_state(obs::ProcessState::kRunning);
   return state_ != RunState::kAbandoned;
+}
+
+void IterativeProcess::wake_paused_fibers_locked() {
+  while (sched::Fiber* fiber = paused_fibers_.pop()) {
+    sched::make_runnable(fiber);
+  }
 }
 
 void IterativeProcess::close_all() {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/channel.hpp"
+#include "sched/fiber.hpp"
 #include "serial/serial.hpp"
 
 /// Processes (paper Section 3.2).
@@ -87,10 +88,18 @@ class IterativeProcess : public Process {
   /// the process cannot observe the request while blocked inside a
   /// channel operation, so parking happens once the current step's I/O
   /// completes.
+  ///
+  /// Pause latency: the running process checks for a request with one
+  /// atomic load per step (no lock), so it parks before starting the
+  /// step after the one in progress -- never mid-step, and no later than
+  /// that step's blocking I/O allows.  Only await_pause() says that it
+  /// has parked.  A process parked on an M:N fiber suspends its fiber,
+  /// so the worker under it keeps running the other processes.
   void request_pause();
 
   /// Blocks until the process is parked (returns true) or it finished
-  /// first (returns false).
+  /// first (returns false).  This is the only guarantee that the process
+  /// is at a step boundary.
   bool await_pause();
 
   /// Continues a parked process in place.
@@ -206,6 +215,8 @@ class IterativeProcess : public Process {
   /// Parks if a pause was requested; returns false when the process was
   /// abandoned while parked (run() must exit silently).
   bool pause_point();
+  /// Requeues fibers parked in pause_point(); state_mutex_ held.
+  void wake_paused_fibers_locked();
 
   long iterations_;
   std::vector<std::shared_ptr<ChannelInputStream>> inputs_;
@@ -213,7 +224,12 @@ class IterativeProcess : public Process {
 
   mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;
+  /// Parked fibers (M:N); thread-per-process waits on state_cv_.
+  sched::WaitQueue paused_fibers_;
   RunState state_ = RunState::kIdle;
+  /// True from request_pause() until the pause is taken: the per-step
+  /// check reads only this, never state_mutex_.  Written under it.
+  std::atomic<bool> pause_requested_{false};
 };
 
 /// Appends the observability rows for a process and (recursively) its

@@ -62,6 +62,12 @@ class TypedRingBase {
     std::uint64_t popped = 0;
     std::size_t blocked_readers = 0;
     std::size_t blocked_writers = 0;
+    // Slow-path counters, both sides together: `parks` counts sleeps
+    // registered on an empty/full ring, `wakes` counts entries into the
+    // wake path.  A claimed sleeper costs its waker one entry, so wakes
+    // track parks, never tokens.
+    std::uint64_t parks = 0;
+    std::uint64_t wakes = 0;
     bool demoted = false;
     bool write_closed = false;
     bool read_closed = false;
@@ -117,9 +123,12 @@ class TypedRingBase {
 /// gate_ and spin until the in_push_/in_pop_ in-flight flags clear --
 /// Dekker-style -- while fast-path entries that see gate_ back off onto
 /// the mutex.  Empty/full parking uses the mutex + cv, or the scheduler's
-/// WaitQueue on an M:N fiber (same protocol as io::Pipe).  Both Dekker
-/// pairs (gate handshake, sleeper wake-up check) are asymmetric: the
-/// per-token side runs with compiler-only ordering and the rare side
+/// WaitQueue on an M:N fiber (same protocol as io::Pipe).  A parked side
+/// registers in sleeping_*; the first wake claims it (zeroes the count
+/// under the mutex), so later operations skip the wake path until the
+/// sleeper parks again -- one wake per sleep, not one per token.  Both
+/// Dekker pairs (gate handshake, sleeper wake-up check) are asymmetric:
+/// the per-token side runs with compiler-only ordering and the rare side
 /// (transition, park) issues a process-wide membarrier -- see
 /// support/asym_barrier.hpp for the scheme and its fence fallback.
 template <typename T, typename Codec>
@@ -177,7 +186,7 @@ class TypedRing final : public TypedRingBase {
         in_push_.store(false, std::memory_order_release);
         support::light_barrier();
         if (sleeping_readers_.load(std::memory_order_relaxed) != 0) {
-          wake_readers();
+          wake(sleeping_readers_, reader_fibers_, readable_);
         }
         return PushResult::kOk;
       }
@@ -214,7 +223,7 @@ class TypedRing final : public TypedRingBase {
         in_pop_.store(false, std::memory_order_release);
         support::light_barrier();
         if (sleeping_writers_.load(std::memory_order_relaxed) != 0) {
-          wake_writers();
+          wake(sleeping_writers_, writer_fibers_, writable_);
         }
         return PopResult::kOk;
       }
@@ -250,6 +259,8 @@ class TypedRing final : public TypedRingBase {
     std::scoped_lock lock{mutex_};
     s.blocked_readers = blocked_readers_;
     s.blocked_writers = blocked_writers_;
+    s.parks = parks_;
+    s.wakes = wakes_;
     return s;
   }
 
@@ -438,32 +449,20 @@ class TypedRing final : public TypedRingBase {
       return;
     }
     ++blocked_readers_;
-    sleeping_readers_.store(static_cast<std::uint32_t>(blocked_readers_),
-                            std::memory_order_relaxed);
+    ++parks_;
+    sleeping_readers_.store(1, std::memory_order_relaxed);
     support::heavy_barrier();
     if (head_.load(std::memory_order_relaxed) !=
         tail_.load(std::memory_order_relaxed)) {
       // The producer published between our registration and the fence;
-      // its wake check may have missed us.
+      // its wake check may have missed us.  Nobody claimed us yet (that
+      // needs the mutex we hold), so unregister ourselves.
+      sleeping_readers_.store(0, std::memory_order_relaxed);
       --blocked_readers_;
-      sleeping_readers_.store(static_cast<std::uint32_t>(blocked_readers_),
-                              std::memory_order_relaxed);
       return;
     }
-    if (sched::on_fiber()) {
-      sched::suspend_current(reader_fibers_, lock);
-      lock.lock();
-    } else {
-      readable_.wait(lock, [&] {
-        return head_.load(std::memory_order_relaxed) !=
-                   tail_.load(std::memory_order_relaxed) ||
-               flags_.load(std::memory_order_relaxed) != 0 ||
-               gate_.load(std::memory_order_relaxed);
-      });
-    }
+    sleep_once(reader_fibers_, readable_, lock);
     --blocked_readers_;
-    sleeping_readers_.store(static_cast<std::uint32_t>(blocked_readers_),
-                            std::memory_order_relaxed);
   }
 
   void park_writer() {
@@ -476,51 +475,55 @@ class TypedRing final : public TypedRingBase {
       return;
     }
     ++blocked_writers_;
-    sleeping_writers_.store(static_cast<std::uint32_t>(blocked_writers_),
-                            std::memory_order_relaxed);
+    ++parks_;
+    sleeping_writers_.store(1, std::memory_order_relaxed);
     support::heavy_barrier();
     if (tail_.load(std::memory_order_relaxed) -
             head_.load(std::memory_order_relaxed) <=
         mask_) {
+      sleeping_writers_.store(0, std::memory_order_relaxed);
       --blocked_writers_;
-      sleeping_writers_.store(static_cast<std::uint32_t>(blocked_writers_),
-                              std::memory_order_relaxed);
       return;
     }
+    sleep_once(writer_fibers_, writable_, lock);
+    --blocked_writers_;
+  }
+
+  /// One sleep of a registered waiter; returns with `lock` held.  There
+  /// is deliberately no predicate loop: the wake that ends the sleep has
+  /// claimed the registration, so sleeping again here would sleep
+  /// unregistered and miss the next wake.  The caller goes back through
+  /// the fast path instead, which re-registers if it must park again.  A
+  /// spurious cv return leaves the registration in place, which costs at
+  /// most one redundant wake.
+  void sleep_once(sched::WaitQueue& fibers, std::condition_variable& cv,
+                  std::unique_lock<std::mutex>& lock) {
     if (sched::on_fiber()) {
-      sched::suspend_current(writer_fibers_, lock);
+      sched::suspend_current(fibers, lock);
       lock.lock();
     } else {
-      writable_.wait(lock, [&] {
-        return tail_.load(std::memory_order_relaxed) -
-                       head_.load(std::memory_order_relaxed) <=
-                   mask_ ||
-               flags_.load(std::memory_order_relaxed) != 0 ||
-               gate_.load(std::memory_order_relaxed);
-      });
+      cv.wait(lock);
     }
-    --blocked_writers_;
-    sleeping_writers_.store(static_cast<std::uint32_t>(blocked_writers_),
-                            std::memory_order_relaxed);
   }
 
-  void wake_readers() {
-    std::scoped_lock lock{mutex_};
-    while (sched::Fiber* fiber = reader_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
-    readable_.notify_all();
-  }
-
-  void wake_writers() {
-    std::scoped_lock lock{mutex_};
-    while (sched::Fiber* fiber = writer_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
-    writable_.notify_all();
+  /// Claims the sleepers registered in `sleeping` and wakes them.  Only
+  /// an operation that saw `sleeping` set comes here; zeroing it under
+  /// the mutex keeps the operations after this one on the fast path while
+  /// the woken side is still on its way back.
+  void wake(std::atomic<std::uint32_t>& sleeping, sched::WaitQueue& fibers,
+            std::condition_variable& cv) {
+    std::unique_lock lock{mutex_};
+    ++wakes_;
+    if (sleeping.load(std::memory_order_relaxed) == 0) return;
+    sleeping.store(0, std::memory_order_relaxed);
+    while (sched::Fiber* fiber = fibers.pop()) sched::make_runnable(fiber);
+    lock.unlock();
+    cv.notify_all();
   }
 
   void wake_all_locked() {
+    sleeping_readers_.store(0, std::memory_order_relaxed);
+    sleeping_writers_.store(0, std::memory_order_relaxed);
     while (sched::Fiber* fiber = reader_fibers_.pop()) {
       sched::make_runnable(fiber);
     }
@@ -532,31 +535,34 @@ class TypedRing final : public TypedRingBase {
   T* storage_ = nullptr;
   std::size_t mask_ = 0;
 
-  // Hot indices on their own cache lines: the producer writes tail_, the
-  // consumer writes head_, and each polls the other's with acquire --
-  // through a same-side cached lower bound, so the steady-state loop
+  // One cache line per side, each written only by its owner: the
+  // consumer's holds head_, its cached bound on tail_ and its in-flight
+  // flag; the producer's is the mirror.  Each side polls the other's
+  // index through its cached lower bound, so the steady-state loop
   // touches the other side's line only at the empty/full boundary.
   alignas(64) std::atomic<std::uint64_t> head_{0};
   std::uint64_t tail_cache_ = 0;  // consumer-owned
+  std::atomic<bool> in_pop_{false};
   alignas(64) std::atomic<std::uint64_t> tail_{0};
   std::uint64_t head_cache_ = 0;  // producer-owned
-  // In-flight flags for the transition gate (see class comment).  Each is
-  // written by exactly one side; sharing a line with that side's index
-  // keeps the fast path to two hot lines.
-  alignas(64) std::atomic<bool> in_push_{false};
-  std::atomic<bool> in_pop_{false};
-  std::atomic<bool> gate_{false};
+  std::atomic<bool> in_push_{false};
+  // Read by both sides on every operation, written only by transitions,
+  // parks and wake claims.
+  alignas(64) std::atomic<bool> gate_{false};
   std::atomic<std::uint8_t> flags_{0};
   std::atomic<std::uint32_t> sleeping_readers_{0};
   std::atomic<std::uint32_t> sleeping_writers_{0};
 
-  mutable std::mutex mutex_;
+  // Slow path only; kept off the read-mostly line above.
+  alignas(64) mutable std::mutex mutex_;
   std::condition_variable readable_;
   std::condition_variable writable_;
   sched::WaitQueue reader_fibers_;
   sched::WaitQueue writer_fibers_;
   std::size_t blocked_readers_ = 0;
   std::size_t blocked_writers_ = 0;
+  std::uint64_t parks_ = 0;
+  std::uint64_t wakes_ = 0;
 };
 
 }  // namespace dpn::io

@@ -7,6 +7,7 @@
 #include "processes/basic.hpp"
 #include "rmi/compute_server.hpp"
 #include "rmi/migrate.hpp"
+#include "sched/scheduler.hpp"
 
 namespace dpn {
 namespace {
@@ -86,6 +87,34 @@ class SlowSequence final : public core::IterativeProcess {
 [[maybe_unused]] const bool kSlowSequenceRegistered =
     serial::register_type<SlowSequence>("test.SlowSequence");
 
+/// Writes 0, 1, 2, ... and asks for its own pause once `pause_after`
+/// values are out, so the pause lands with a known backlog in the channel.
+class SelfPausingSequence final : public core::IterativeProcess {
+ public:
+  SelfPausingSequence(std::shared_ptr<core::ChannelOutputStream> out,
+                      long iterations, std::int64_t pause_after)
+      : IterativeProcess(iterations), pause_after_(pause_after) {
+    track_output(std::move(out));
+  }
+  std::string type_name() const override {
+    return "test.SelfPausingSequence";
+  }
+  void write_fields(serial::ObjectOutputStream&) const override {
+    throw SerializationError{"local-only"};
+  }
+
+ protected:
+  void step() override {
+    io::DataOutputStream out{output(0)};
+    out.write_i64(next_++);
+    if (next_ == pause_after_) request_pause();
+  }
+
+ private:
+  std::int64_t next_ = 0;
+  std::int64_t pause_after_;
+};
+
 // --- Pause / resume / abandon ----------------------------------------------
 
 TEST(Pause, ParksAtStepBoundaryAndResumes) {
@@ -146,6 +175,45 @@ TEST(Pause, AbandonReturnsWithoutClosingEndpoints) {
   EXPECT_FALSE(ch->pipe()->write_closed());
   io::DataOutputStream out{ch->output()};
   EXPECT_NO_THROW(out.write_i64(42));
+}
+
+TEST(Pause, PausedFiberDoesNotPinItsWorker) {
+  // One M:N worker runs both processes.  A paused producer must suspend
+  // its fiber rather than block the worker, so the consumer keeps running
+  // and drains the whole backlog while the producer is still parked.
+  constexpr long kValues = 200;
+  constexpr std::int64_t kBacklog = 100;
+  auto ch = std::make_shared<Channel>(4096);  // holds the whole backlog
+  auto sink = std::make_shared<CollectSink<std::int64_t>>();
+  auto producer =
+      std::make_shared<SelfPausingSequence>(ch->output(), kValues, kBacklog);
+  auto consumer = std::make_shared<Collect>(ch->input(), sink);
+
+  sched::SchedulerOptions options;
+  options.mode = sched::SchedMode::kWorkSteal;
+  options.workers = 1;
+  sched::Scheduler scheduler{options};
+  scheduler.spawn([producer] { producer->run(); }, "producer");
+  scheduler.spawn([consumer] { consumer->run(); }, "consumer");
+
+  const bool parked = producer->await_pause();
+  EXPECT_TRUE(parked);
+  // Bounded wait, so a pinned worker fails the test instead of hanging it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (sink->size() < static_cast<std::size_t>(kBacklog) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  const std::size_t drained_while_paused = sink->size();
+  EXPECT_TRUE(producer->paused());
+  if (parked) producer->resume();
+  scheduler.wait_quiescent();
+
+  EXPECT_EQ(drained_while_paused, static_cast<std::size_t>(kBacklog));
+  const auto values = sink->values();
+  ASSERT_EQ(values.size(), static_cast<std::size_t>(kValues));
+  for (int i = 0; i < kValues; ++i) EXPECT_EQ(values[i], i);
 }
 
 TEST(Pause, ResumeRequiresPausedState) {

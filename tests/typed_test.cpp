@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -11,6 +15,7 @@
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "io/pipe.hpp"
+#include "io/typed_ring.hpp"
 #include "obs/snapshot.hpp"
 #include "processes/basic.hpp"
 #include "sched/scheduler.hpp"
@@ -169,6 +174,160 @@ TEST(Typed, GrowUnblocksParkedWriter) {
     const auto v = reader.get();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);  // grow's slot remap preserved order
+  }
+}
+
+// --- wake cost and park/wake stress -----------------------------------------
+
+using Ring = io::TypedRing<std::int64_t, Codec<std::int64_t>>;
+
+/// Aborts the ring if the test has not disarmed it by the deadline: a lost
+/// wake then surfaces as Interrupted on the parked side, and a failed
+/// assertion, instead of hanging the suite.
+class RingWatchdog {
+ public:
+  RingWatchdog(Ring& ring, std::chrono::seconds limit)
+      : thread_{[this, &ring, limit] {
+          std::unique_lock lock{mutex_};
+          if (!cv_.wait_for(lock, limit, [this] { return disarmed_; })) {
+            fired_.store(true);
+            ring.abort();
+          }
+        }} {}
+  RingWatchdog(const RingWatchdog&) = delete;
+  RingWatchdog& operator=(const RingWatchdog&) = delete;
+  ~RingWatchdog() {
+    {
+      std::scoped_lock lock{mutex_};
+      disarmed_ = true;
+    }
+    cv_.notify_all();
+  }
+  bool fired() const { return fired_.load(); }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool disarmed_ = false;
+  std::atomic<bool> fired_{false};
+  std::jthread thread_;  // last: starts once the members above exist
+};
+
+/// Runs `producer` and `consumer` to completion concurrently: on two
+/// threads when `workers` is 0, else as two fibers on an M:N scheduler
+/// with that many workers.
+void run_pair(unsigned workers, const std::function<void()>& producer,
+              const std::function<void()>& consumer) {
+  if (workers == 0) {
+    std::jthread p{producer};
+    std::jthread c{consumer};
+    return;
+  }
+  sched::SchedulerOptions options;
+  options.mode = sched::SchedMode::kWorkSteal;
+  options.workers = workers;
+  sched::Scheduler scheduler{options};
+  scheduler.spawn(producer, "producer");
+  scheduler.spawn(consumer, "consumer");
+  scheduler.wait_quiescent();
+}
+
+std::string substrate(unsigned workers) {
+  return workers == 0 ? "threads" : "M:N x" + std::to_string(workers);
+}
+
+/// Streams `values` through `ring`, the producer pushing bursts of
+/// `burst(i)` values and the consumer popping bursts of `burst(i + 1)`,
+/// each yielding between bursts.  Returns true when the consumer saw
+/// exactly 0, 1, ..., values - 1 and then end-of-stream.
+bool stream_through(Ring& ring, unsigned workers, std::int64_t values,
+                    const std::function<std::int64_t(std::int64_t)>& burst) {
+  std::atomic<bool> interrupted{false};
+  std::int64_t received = 0;
+  bool in_order = true;
+  bool clean_eof = false;
+  {
+    RingWatchdog watchdog{ring, std::chrono::seconds{60}};
+    run_pair(
+        workers,
+        [&] {
+          try {
+            std::int64_t next = 0;
+            for (std::int64_t b = 0; next < values; ++b) {
+              for (std::int64_t n = burst(b); n > 0 && next < values; --n) {
+                if (ring.push(std::int64_t{next++}) !=
+                    Ring::PushResult::kOk) {
+                  return;
+                }
+              }
+              std::this_thread::yield();
+            }
+            ring.close_write();
+          } catch (const Interrupted&) {
+            interrupted.store(true);
+          }
+        },
+        [&] {
+          try {
+            std::int64_t v = 0;
+            for (std::int64_t b = 1;; ++b) {
+              for (std::int64_t n = burst(b); n > 0; --n) {
+                const auto r = ring.pop(v);
+                if (r != Ring::PopResult::kOk) {
+                  clean_eof = r == Ring::PopResult::kEof;
+                  return;
+                }
+                in_order = in_order && v == received;
+                ++received;
+              }
+              std::this_thread::yield();
+            }
+          } catch (const Interrupted&) {
+            interrupted.store(true);
+          }
+        });
+    EXPECT_FALSE(watchdog.fired())
+        << substrate(workers) << ": lost wake, ring aborted at deadline";
+  }
+  EXPECT_FALSE(interrupted.load()) << substrate(workers);
+  EXPECT_EQ(received, values) << substrate(workers);
+  return in_order && clean_eof && received == values;
+}
+
+TEST(TypedRing, WakeCostIsPerSleepNotPerToken) {
+  // A sleeper is claimed by the first wake after it parks, so the side
+  // that keeps running pays one slow-path entry per sleep of its peer --
+  // not one per token for as long as the peer takes to get going again.
+  constexpr std::int64_t kValues = std::int64_t{1} << 18;
+  for (const unsigned workers : {0u, 2u}) {
+    Ring ring{16};
+    EXPECT_TRUE(stream_through(ring, workers, kValues,
+                               [](std::int64_t) { return kValues; }))
+        << substrate(workers);
+    const Ring::Stats s = ring.stats();
+    EXPECT_GT(s.parks, 0u) << substrate(workers);
+    EXPECT_LE(s.wakes, 2 * s.parks + 16)
+        << substrate(workers) << ": " << s.parks << " parks, " << s.wakes
+        << " wakes";
+  }
+}
+
+TEST(TypedRing, BurstyParkWakeStressKeepsExactFifo) {
+  // Bursts of 1..48 values through a 16-slot ring, about 10k of them per
+  // side: the producer parks on a full ring and the consumer on an empty
+  // one, over and over.  Every wake must land (the watchdog turns a lost
+  // one into a failure) and the order must survive every park.
+  constexpr std::int64_t kValues = 10000 * 24;
+  const auto burst = [](std::int64_t b) {
+    std::uint64_t x = static_cast<std::uint64_t>(b) * 0x9E3779B97F4A7C15ull;
+    x ^= x >> 29;
+    return static_cast<std::int64_t>(x % 48) + 1;
+  };
+  for (const unsigned workers : {0u, 1u, 2u}) {
+    Ring ring{16};
+    EXPECT_TRUE(stream_through(ring, workers, kValues, burst))
+        << substrate(workers);
+    EXPECT_GT(ring.stats().parks, 0u) << substrate(workers);
   }
 }
 
