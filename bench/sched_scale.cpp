@@ -13,13 +13,26 @@
 // part of the result -- the M:N rows are the only way to run the full
 // sweep.  Expected shape: at 10k processes the fiber rows are >= 5x
 // faster than threads; at 100k the fiber run stays under 2 GiB RSS.
+//
+// The M:N chain runs twice per size, on 1 worker and on one worker per
+// hardware thread, so the table shows what extra workers buy a chain
+// whose every hop parks one fiber and wakes the next.
+//
+//   sched_scale [--fibers-only] [relays ...]
+//
+// With no sizes it sweeps 1k..100k relays.  --fibers-only skips the
+// thread-per-process rows (a 10k-relay row starts 10k OS threads).  The
+// exit status is 1 if any configuration failed to deliver every value.
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/network.hpp"
@@ -119,39 +132,62 @@ Outcome run_isolated(std::size_t relays, sched::SchedulerOptions options) {
   return outcome;
 }
 
-void print_row(std::size_t relays, const char* label,
+/// Prints one table row; returns false if the run failed (a refusal is
+/// a result, not a failure).
+bool print_row(std::size_t relays, const char* label, const char* workers,
                const Outcome& outcome) {
   if (outcome.refused) {
-    std::printf("%8zu  %-16s  %10s  %10s\n", relays, label, "refused", "-");
+    std::printf("%8zu  %-12s  %7s  %10s  %10s\n", relays, label, workers,
+                "refused", "-");
   } else if (!outcome.completed) {
-    std::printf("%8zu  %-16s  %10s  %10s\n", relays, label, "FAILED", "-");
+    std::printf("%8zu  %-12s  %7s  %10s  %10s\n", relays, label, workers,
+                "FAILED", "-");
   } else {
-    std::printf("%8zu  %-16s  %9.3fs  %7ld MB\n", relays, label,
-                outcome.seconds, outcome.rss_kb / 1024);
+    std::printf("%8zu  %-12s  %7s  %9.3fs  %7ld MB\n", relays, label,
+                workers, outcome.seconds, outcome.rss_kb / 1024);
   }
   std::fflush(stdout);
+  return outcome.refused || outcome.completed;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool with_threads = true;
+  std::vector<std::size_t> sizes;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--fibers-only") == 0) {
+      with_threads = false;
+    } else {
+      sizes.push_back(std::strtoull(argv[i], nullptr, 10));
+    }
+  }
+  if (sizes.empty()) sizes = {1000, 3000, 10000, 30000, 100000};
+
   const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
   std::printf("sched_scale: %ld values through N-relay chains "
               "(channel capacity %zu B, %u hardware threads)\n\n",
               kValues, kCapacity, nproc);
-  std::printf("%8s  %-16s  %10s  %10s\n", "relays", "scheduler", "wall",
-              "peak RSS");
+  std::printf("%8s  %-12s  %7s  %10s  %10s\n", "relays", "scheduler",
+              "workers", "wall", "peak RSS");
 
-  for (const std::size_t relays : {1000u, 3000u, 10000u, 30000u, 100000u}) {
-    sched::SchedulerOptions threads;  // kThreadPerProcess default
-    print_row(relays, "threads", run_isolated(relays, threads));
-
-    sched::SchedulerOptions fibers;
-    fibers.mode = sched::SchedMode::kWorkSteal;
-    fibers.workers = nproc;
-    fibers.stack_kb = 32;  // relay frames are shallow; 100k fit in RAM
-    const Outcome mn = run_isolated(relays, fibers);
-    print_row(relays, "work-steal", mn);
+  bool ok = true;
+  for (const std::size_t relays : sizes) {
+    if (with_threads) {
+      sched::SchedulerOptions threads;  // kThreadPerProcess default
+      ok &= print_row(relays, "threads", "-", run_isolated(relays, threads));
+    }
+    std::vector<unsigned> worker_counts{1};
+    if (nproc > 1) worker_counts.push_back(nproc);
+    for (const unsigned workers : worker_counts) {
+      sched::SchedulerOptions fibers;
+      fibers.mode = sched::SchedMode::kWorkSteal;
+      fibers.workers = workers;
+      fibers.stack_kb = 32;  // relay frames are shallow; 100k fit in RAM
+      const std::string column = std::to_string(workers);
+      ok &= print_row(relays, "work-steal", column.c_str(),
+                      run_isolated(relays, fibers));
+    }
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,10 +1,11 @@
 #include "io/pipe.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "obs/flight.hpp"
+#include "support/stopwatch.hpp"
 
 namespace dpn::io {
 
@@ -12,89 +13,82 @@ Pipe::Pipe(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1))
   buffer_.resize(capacity_);
 }
 
-void Pipe::notify_readers_locked() {
+void Pipe::claim_locked(Waiters& waiters, sched::WaitQueue& fibers,
+                        std::condition_variable& cv) {
   // Wakeup elision: the counters are exact under mutex_, so when nobody is
   // waiting the (potentially syscall-priced) notify is skipped entirely,
   // and a single waiter gets notify_one instead of a broadcast.
-  if (blocked_readers_ == 0) return;
+  if (waiters.blocked == 0) return;
   // Fiber waiters first: requeueing on the waker's own deque is the M:N
-  // fast path (the bytes just written are cache-hot right here).  A
-  // popped fiber stays counted in blocked_readers_ until it resumes, so
-  // the cv arithmetic below can only over-notify, never lose a waiter.
-  std::size_t fibers = 0;
-  while (sched::Fiber* fiber = reader_fibers_.pop()) {
+  // fast path (the bytes just written are cache-hot right here).
+  while (sched::Fiber* fiber = fibers.pop()) {
     sched::make_runnable(fiber);
-    ++fibers;
+    --waiters.blocked;
   }
-  const std::size_t cv_waiters = blocked_readers_ - fibers;
-  if (cv_waiters == 1) {
-    readable_.notify_one();
-  } else if (cv_waiters > 1) {
-    readable_.notify_all();
+  if (waiters.cv == 0) return;
+  // What is left are the cv waiters of the current epoch; bumping it
+  // releases exactly those.  Every earlier waiter has already been
+  // notified, so a lone one can take notify_one.
+  waiters.blocked -= waiters.cv;
+  ++waiters.epoch;
+  if (std::exchange(waiters.cv, 0) == 1) {
+    cv.notify_one();
+  } else {
+    cv.notify_all();
   }
+}
+
+void Pipe::notify_readers_locked() {
+  claim_locked(readers_, reader_fibers_, readable_);
 }
 
 void Pipe::notify_writers_locked() {
-  if (blocked_writers_ == 0) return;
-  std::size_t fibers = 0;
-  while (sched::Fiber* fiber = writer_fibers_.pop()) {
-    sched::make_runnable(fiber);
-    ++fibers;
-  }
-  const std::size_t cv_waiters = blocked_writers_ - fibers;
-  if (cv_waiters == 1) {
-    writable_.notify_one();
-  } else if (cv_waiters > 1) {
-    writable_.notify_all();
-  }
+  claim_locked(writers_, writer_fibers_, writable_);
 }
 
-void Pipe::wake_all_fibers_locked() {
-  while (sched::Fiber* fiber = reader_fibers_.pop()) {
-    sched::make_runnable(fiber);
+std::uint64_t Pipe::wait_locked(Waiters& waiters, sched::WaitQueue& fibers,
+                                std::condition_variable& cv,
+                                std::unique_lock<std::mutex>& lock) {
+  ++waiters.blocked;
+  if (sched::on_fiber()) {
+    // Run-to-block: park the fiber, freeing this worker thread for other
+    // processes.  The worker that resumes us stamped the dispatch.
+    sched::suspend_current(fibers, lock);
+    const std::uint64_t resumed = sched::resume_ns();
+    lock.lock();
+    return resumed;
   }
-  while (sched::Fiber* fiber = writer_fibers_.pop()) {
-    sched::make_runnable(fiber);
-  }
+  const std::uint64_t epoch = waiters.epoch;
+  ++waiters.cv;
+  cv.wait(lock, [&] { return waiters.epoch != epoch; });
+  return steady_ns();
 }
 
 std::size_t Pipe::read_some(MutableByteSpan out) {
   if (out.empty()) return 0;
   std::unique_lock lock{mutex_};
   bool parked = false;
+  std::uint64_t resumed = 0;
   while (count_ == 0 && !write_closed_ && !read_closed_ && !aborted_) {
-    ++blocked_readers_;
-    // Flight record only at the slow path: an unblocked read stays
-    // record-free, so the quiet cost is zero.
+    // The clock is only consulted when actually parking, once: the stamp
+    // starts the wait and, on the first pass, dates the flight event (an
+    // unblocked read stays clock- and record-free).  One wakeup per wait;
+    // the while re-checks the predicate like a cv wait would.
+    const std::uint64_t wait_start = steady_ns();
     if (!parked) {
       parked = true;
-      obs::flight_record(obs::FlightKind::kChanBlockRead, flight_id_, count_);
+      obs::flight_record_at(obs::FlightKind::kChanBlockRead, wait_start,
+                            flight_id_, count_);
     }
-    // The clock is only consulted when actually parking; unblocked reads
-    // never pay for it.
-    const auto wait_start = std::chrono::steady_clock::now();
-    if (sched::on_fiber()) {
-      // Run-to-block: park the fiber, freeing this worker thread for
-      // other processes.  One wakeup per suspension; the outer while
-      // re-checks the predicate exactly like a cv wait would.
-      sched::suspend_current(reader_fibers_, lock);
-      lock.lock();
-    } else {
-      readable_.wait(lock, [&] {
-        return count_ > 0 || write_closed_ || read_closed_ || aborted_;
-      });
-    }
-    const auto waited = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count());
+    resumed = wait_locked(readers_, reader_fibers_, readable_, lock);
+    const std::uint64_t waited = resumed > wait_start ? resumed - wait_start : 0;
     blocked_read_ns_ += waited;
     read_block_hist_.record(waited);
     ++reader_wakeups_;
-    --blocked_readers_;
   }
   if (parked) {
-    obs::flight_record(obs::FlightKind::kChanUnblockRead, flight_id_, count_);
+    obs::flight_record_at(obs::FlightKind::kChanUnblockRead, resumed,
+                          flight_id_, count_);
   }
   if (aborted_) throw Interrupted{"pipe aborted during read"};
   if (read_closed_) throw IoError{"read from closed pipe"};
@@ -109,6 +103,7 @@ void Pipe::write(ByteSpan data) { write_vectored(data, {}); }
 void Pipe::write_vectored(ByteSpan a, ByteSpan b) {
   std::unique_lock lock{mutex_};
   bool parked = false;
+  std::uint64_t resumed = 0;
   for (ByteSpan data : {a, b}) {
     while (!data.empty()) {
       if (aborted_) throw Interrupted{"pipe aborted during write"};
@@ -119,30 +114,18 @@ void Pipe::write_vectored(ByteSpan a, ByteSpan b) {
       // extra notify is issued before sleeping) and re-enter the loop.
       const std::size_t room = unbounded_ ? data.size() : capacity_ - count_;
       if (room == 0) {
-        ++blocked_writers_;
+        const std::uint64_t wait_start = steady_ns();
         if (!parked) {
           parked = true;
-          obs::flight_record(obs::FlightKind::kChanBlockWrite, flight_id_,
-                             count_);
+          obs::flight_record_at(obs::FlightKind::kChanBlockWrite, wait_start,
+                                flight_id_, count_);
         }
-        const auto wait_start = std::chrono::steady_clock::now();
-        if (sched::on_fiber()) {
-          sched::suspend_current(writer_fibers_, lock);
-          lock.lock();
-        } else {
-          writable_.wait(lock, [&] {
-            return read_closed_ || aborted_ || write_closed_ || unbounded_ ||
-                   count_ < capacity_;
-          });
-        }
-        const auto waited = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wait_start)
-                .count());
+        resumed = wait_locked(writers_, writer_fibers_, writable_, lock);
+        const std::uint64_t waited =
+            resumed > wait_start ? resumed - wait_start : 0;
         blocked_write_ns_ += waited;
         write_block_hist_.record(waited);
         ++writer_wakeups_;
-        --blocked_writers_;
         continue;
       }
       const std::size_t n = std::min(room, data.size());
@@ -152,45 +135,38 @@ void Pipe::write_vectored(ByteSpan a, ByteSpan b) {
     }
   }
   if (parked) {
-    obs::flight_record(obs::FlightKind::kChanUnblockWrite, flight_id_,
-                       count_);
+    obs::flight_record_at(obs::FlightKind::kChanUnblockWrite, resumed,
+                          flight_id_, count_);
   }
 }
 
 void Pipe::close_write() {
-  {
-    std::scoped_lock lock{mutex_};
-    write_closed_ = true;
-    wake_all_fibers_locked();
-  }
-  readable_.notify_all();
-  writable_.notify_all();
+  std::scoped_lock lock{mutex_};
+  write_closed_ = true;
+  wake_all_locked();
 }
 
 void Pipe::close_read() {
-  {
-    std::scoped_lock lock{mutex_};
-    read_closed_ = true;
-    // Data still buffered is discarded: the reader is gone.  The storage is
-    // released too -- the pipe can never carry bytes again, and a shipped
-    // endpoint's steal_buffer must deterministically find it empty.
-    count_ = 0;
-    head_ = 0;
-    ByteVector{}.swap(buffer_);
-    wake_all_fibers_locked();
-  }
-  readable_.notify_all();
-  writable_.notify_all();
+  std::scoped_lock lock{mutex_};
+  read_closed_ = true;
+  // Data still buffered is discarded: the reader is gone.  The storage is
+  // released too -- the pipe can never carry bytes again, and a shipped
+  // endpoint's steal_buffer must deterministically find it empty.
+  count_ = 0;
+  head_ = 0;
+  ByteVector{}.swap(buffer_);
+  wake_all_locked();
 }
 
 void Pipe::abort() {
-  {
-    std::scoped_lock lock{mutex_};
-    aborted_ = true;
-    wake_all_fibers_locked();
-  }
-  readable_.notify_all();
-  writable_.notify_all();
+  std::scoped_lock lock{mutex_};
+  aborted_ = true;
+  wake_all_locked();
+}
+
+void Pipe::wake_all_locked() {
+  notify_readers_locked();
+  notify_writers_locked();
 }
 
 void Pipe::grow(std::size_t new_capacity) {
@@ -238,12 +214,12 @@ bool Pipe::read_closed() const {
 
 std::size_t Pipe::blocked_readers() const {
   std::scoped_lock lock{mutex_};
-  return blocked_readers_;
+  return readers_.blocked;
 }
 
 std::size_t Pipe::blocked_writers() const {
   std::scoped_lock lock{mutex_};
-  return blocked_writers_;
+  return writers_.blocked;
 }
 
 Pipe::Stats Pipe::stats() const {
@@ -256,8 +232,8 @@ Pipe::Stats Pipe::stats() const {
   s.blocked_write_ns = blocked_write_ns_;
   s.reader_wakeups = reader_wakeups_;
   s.writer_wakeups = writer_wakeups_;
-  s.blocked_readers = blocked_readers_;
-  s.blocked_writers = blocked_writers_;
+  s.blocked_readers = readers_.blocked;
+  s.blocked_writers = writers_.blocked;
   s.write_closed = write_closed_;
   s.read_closed = read_closed_;
   s.read_block = read_block_hist_.snapshot();

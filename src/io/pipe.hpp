@@ -71,7 +71,9 @@ class Pipe {
   bool write_closed() const;
   bool read_closed() const;
 
-  /// Instrumentation for the deadlock monitor (Section 3.5 / [13]).
+  /// Instrumentation for the deadlock monitor (Section 3.5 / [13]): the
+  /// waiters not yet woken.  A wake claims its waiters, so a process that
+  /// has been woken but not yet scheduled no longer counts as blocked.
   std::size_t blocked_readers() const;
   std::size_t blocked_writers() const;
 
@@ -110,12 +112,23 @@ class Pipe {
   std::condition_variable writable_;
   // Fibers suspended on this pipe (M:N scheduler).  A blocked read/write
   // on a scheduler worker parks here instead of on the cv; the
-  // counterpart operation requeues the fiber on the waker's deque.  Both
-  // kinds of waiter are counted in blocked_readers_/blocked_writers_, so
-  // the deadlock monitor sees one unified picture.  Non-worker threads
-  // (socket relays, tests) keep using the cvs -- the two coexist.
+  // counterpart operation requeues the fiber on the waker's deque.
+  // Non-worker threads (socket relays, tests) keep using the cvs -- the
+  // two coexist.
   sched::WaitQueue reader_fibers_;
   sched::WaitQueue writer_fibers_;
+  // One direction's waiters.  `blocked` counts both kinds until a wake
+  // claims them (the deadlock monitor's one unified picture): a fiber is
+  // counted off when popped, and the cv waiters all at once by bumping
+  // `epoch`, which is what their wait predicate watches.  `cv` is the
+  // number of cv waiters parked in the current epoch.
+  struct Waiters {
+    std::size_t blocked = 0;
+    std::size_t cv = 0;
+    std::uint64_t epoch = 0;
+  };
+  Waiters readers_;
+  Waiters writers_;
   ByteVector buffer_;      // ring storage
   std::size_t head_ = 0;   // index of first unread byte
   std::size_t count_ = 0;  // bytes stored
@@ -124,8 +137,6 @@ class Pipe {
   bool write_closed_ = false;
   bool read_closed_ = false;
   bool aborted_ = false;
-  std::size_t blocked_readers_ = 0;
-  std::size_t blocked_writers_ = 0;
   std::size_t occupancy_hwm_ = 0;
   std::uint64_t blocked_read_ns_ = 0;
   std::uint64_t blocked_write_ns_ = 0;
@@ -141,15 +152,22 @@ class Pipe {
   std::size_t take_locked(MutableByteSpan out);
   void put_locked(ByteSpan data);
   void ensure_storage_locked(std::size_t needed);
-  // Condition notification with wakeup elision: no-ops when the exact
-  // waiter counters (valid under mutex_) say nobody is blocked, and uses
-  // notify_one for a single waiter.  Callers may hold mutex_; a waiter
-  // woken before we release it just blocks briefly on the mutex.
+  // One wait of a reader or writer; returns with `lock` held and the
+  // steady-clock instant it woke (the dispatch stamp on a fiber).
+  std::uint64_t wait_locked(Waiters& waiters, sched::WaitQueue& fibers,
+                            std::condition_variable& cv,
+                            std::unique_lock<std::mutex>& lock);
+  // Wakes and claims every waiter of one direction, with wakeup elision:
+  // a no-op when the exact counters (valid under mutex_) say nobody is
+  // blocked, notify_one for a single cv waiter.  A woken waiter just
+  // blocks briefly on mutex_ until the caller releases it.
+  void claim_locked(Waiters& waiters, sched::WaitQueue& fibers,
+                    std::condition_variable& cv);
   void notify_readers_locked();
   void notify_writers_locked();
-  // Requeues every suspended fiber (both directions); the close/abort
-  // paths use it because a state flip can unblock either side.
-  void wake_all_fibers_locked();
+  // Both directions; the close/abort paths use it because a state flip
+  // can unblock either side.
+  void wake_all_locked();
 };
 
 /// Read end of a Pipe as an InputStream.

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +14,8 @@
 #include <mutex>
 #include <set>
 #include <thread>
+
+#include "support/stopwatch.hpp"
 
 namespace dpn::obs {
 
@@ -302,13 +303,6 @@ std::string flight_report(const std::vector<FlightEvent>& events,
 
 namespace {
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// One ring per recording thread.  Created on the thread's first event,
 /// registered in a lock-free fixed array, and deliberately never freed:
 /// a post-mortem dump must be able to read the rings of threads that
@@ -436,12 +430,13 @@ namespace detail {
 std::atomic<bool> g_flight_on{initial_flight_on()};
 
 void flight_record_slow(FlightKind kind, std::string_view who,
-                        std::uint64_t a, std::uint64_t b) {
+                        std::uint64_t a, std::uint64_t b,
+                        std::uint64_t ts_ns) {
   FlightRing* ring = ring_for_thread();
   if (ring == nullptr) return;
   const std::uint64_t s = ring->seq.load(std::memory_order_relaxed);
   FlightEvent& ev = ring->slots[s & ring->mask];
-  ev.ts_ns = now_ns();
+  ev.ts_ns = ts_ns != 0 ? ts_ns : steady_ns();
   ev.a = a;
   ev.b = b;
   ev.tid = ring->tid;
@@ -499,7 +494,7 @@ FlightCounters flight_counters() {
 FlightExport flight_export(std::int64_t node_filter) {
   FlightExport exp;
   exp.node = node_filter < 0 ? 0 : static_cast<std::uint32_t>(node_filter);
-  exp.export_ns = now_ns();
+  exp.export_ns = steady_ns();
   const FlightCounters counters = flight_counters();
   exp.recorded = counters.recorded;
   exp.dropped = counters.dropped;

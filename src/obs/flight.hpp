@@ -119,8 +119,10 @@ struct FlightExport {
 
 namespace detail {
 extern std::atomic<bool> g_flight_on;
+/// `ts_ns` 0 means "now": the event reads the clock itself.
 void flight_record_slow(FlightKind kind, std::string_view who,
-                        std::uint64_t a, std::uint64_t b);
+                        std::uint64_t a, std::uint64_t b,
+                        std::uint64_t ts_ns);
 }  // namespace detail
 
 inline bool flight_enabled() {
@@ -131,12 +133,20 @@ inline bool flight_enabled() {
 /// flight_set_actor); `who` overrides the actor when non-empty.
 inline void flight_record(FlightKind kind, std::uint64_t a = 0,
                           std::uint64_t b = 0) {
-  if (flight_enabled()) detail::flight_record_slow(kind, {}, a, b);
+  if (flight_enabled()) detail::flight_record_slow(kind, {}, a, b, 0);
+}
+
+/// flight_record stamped with a steady-clock instant (dpn::steady_ns)
+/// the caller already read: a wait site that needs the clock for its own
+/// accounting shares that one read with its event.
+inline void flight_record_at(FlightKind kind, std::uint64_t ts_ns,
+                             std::uint64_t a = 0, std::uint64_t b = 0) {
+  if (flight_enabled()) detail::flight_record_slow(kind, {}, a, b, ts_ns);
 }
 
 inline void flight_record_named(FlightKind kind, std::string_view who,
                                 std::uint64_t a = 0, std::uint64_t b = 0) {
-  if (flight_enabled()) detail::flight_record_slow(kind, who, a, b);
+  if (flight_enabled()) detail::flight_record_slow(kind, who, a, b, 0);
 }
 
 /// Sets the calling thread's ambient actor name (truncated to 15 chars):
@@ -149,6 +159,8 @@ void flight_set_actor(std::string_view name);
 
 inline bool flight_enabled() { return false; }
 inline void flight_record(FlightKind, std::uint64_t = 0, std::uint64_t = 0) {}
+inline void flight_record_at(FlightKind, std::uint64_t, std::uint64_t = 0,
+                             std::uint64_t = 0) {}
 inline void flight_record_named(FlightKind, std::string_view,
                                 std::uint64_t = 0, std::uint64_t = 0) {}
 inline void flight_set_actor(std::string_view) {}

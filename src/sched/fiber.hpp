@@ -122,6 +122,13 @@ bool on_fiber();
 /// The fiber the calling thread is executing, or nullptr.
 Fiber* current_fiber();
 
+/// The steady-clock instant (dpn::steady_ns) at which a worker last
+/// dispatched the calling fiber.  Read right after suspend_current()
+/// returns, it is the fiber's wake-up time at no extra clock read: the
+/// worker took that stamp for the run-queue histogram anyway.  Only
+/// meaningful on a fiber.
+std::uint64_t resume_ns();
+
 /// FIFO list of suspended fibers, embedded in whatever object owns the
 /// wait condition (a pipe, a wait group).  Not internally synchronized:
 /// the owner's mutex must be held for every call, exactly like the

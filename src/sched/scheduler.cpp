@@ -1,13 +1,13 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
 #include "obs/flight.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
+#include "support/stopwatch.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #include <sanitizer/tsan_interface.h>
@@ -22,11 +22,11 @@ namespace dpn::sched {
 
 namespace {
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+/// Single-writer relaxed increment (the obs::bump idiom): a plain add on
+/// the owning worker, atomic visibility for counters() readers.
+inline void bump(std::atomic<std::uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
 }
 
 /// Spin hint for the (nanoseconds-scale) switch-out window.
@@ -57,8 +57,18 @@ struct Worker {
   jmp_buf loop_jump{};        // fast switch target: set per dispatch
   void* tsan_fiber = nullptr;  // the worker thread's own TSan fiber
   WorkStealDeque deque;
-  std::uint64_t rng = 0;  // xorshift state for victim selection
-  std::jthread thread;    // last member: joins before the rest dies
+  // Written only by this worker's thread, on a cache line no other worker
+  // writes: the victim-selection state, this worker's share of
+  // Scheduler::counters() (bump()ed, summed by counters()) and its shard
+  // of runq_wait_histogram().
+  alignas(64) std::uint64_t rng = 0;  // xorshift state for victim selection
+  std::atomic<std::uint64_t> spawned{0};
+  std::atomic<std::uint64_t> completed{0};
+  std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::uint64_t> dispatches{0};
+  std::atomic<std::uint64_t> parks{0};
+  LatencyHistogram* runq = nullptr;
+  std::jthread thread;  // last member: joins before the rest dies
 };
 
 namespace {
@@ -69,6 +79,7 @@ namespace {
 // switch, and a non-inlined call is recomputed from scratch.
 thread_local Worker* t_worker = nullptr;
 thread_local Fiber* t_current = nullptr;
+thread_local std::uint64_t t_dispatch_ns = 0;  // stamp of t_current's dispatch
 
 [[gnu::noinline]] Worker* current_worker_slow() { return t_worker; }
 [[gnu::noinline]] Fiber* current_fiber_slow() { return t_current; }
@@ -157,6 +168,10 @@ bool on_fiber() { return current_fiber_slow() != nullptr; }
 
 Fiber* current_fiber() { return current_fiber_slow(); }
 
+// Non-inlined like the accessors above: the caller has just resumed,
+// possibly on another worker, and must read that worker's stamp.
+[[gnu::noinline]] std::uint64_t resume_ns() { return t_dispatch_ns; }
+
 // --- WaitQueue --------------------------------------------------------------
 
 void WaitQueue::push(Fiber* fiber) {
@@ -194,7 +209,9 @@ void suspend_current(WaitQueue& queue, std::unique_lock<std::mutex>& guard) {
   switch_out(self);
 }
 
-void make_runnable(Fiber* fiber) { fiber->scheduler_->enqueue(fiber); }
+void make_runnable(Fiber* fiber) {
+  fiber->scheduler_->enqueue(fiber, /*spawn=*/false);
+}
 
 // --- SchedulerOptions -------------------------------------------------------
 
@@ -287,6 +304,12 @@ Fiber* WorkStealDeque::pop_bottom() {
   return fiber;
 }
 
+bool WorkStealDeque::empty() const {
+  const std::int64_t t = top_.load(std::memory_order_seq_cst);
+  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
+  return t >= b;
+}
+
 Fiber* WorkStealDeque::steal_top() {
   std::int64_t t = top_.load(std::memory_order_seq_cst);
   const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
@@ -330,38 +353,69 @@ Fiber* Scheduler::spawn(std::function<void()> body, std::string name,
                 std::move(on_phase)};
   fiber->scheduler_ = this;
   live_.fetch_add(1, std::memory_order_relaxed);
-  spawned_.fetch_add(1, std::memory_order_relaxed);
-  enqueue(fiber);
+  enqueue(fiber, /*spawn=*/true);
   return fiber;
 }
 
-void Scheduler::enqueue(Fiber* fiber) {
+void Scheduler::enqueue(Fiber* fiber, bool spawn) {
   if (fiber->on_phase_) fiber->on_phase_(FiberPhase::kReady);
   // Runnable instant for the run-queue wait histogram; published to the
   // dispatching worker by the deque/inject handoff below.
   fiber->enqueue_ns_ = steady_ns();
-  pending_.fetch_add(1, std::memory_order_seq_cst);
   Worker* worker = current_worker_slow();
-  const bool local = worker != nullptr && worker->scheduler == this &&
-                     worker->deque.push_bottom(fiber);
-  if (!local) {
+  if (worker != nullptr && worker->scheduler != this) worker = nullptr;
+  if (worker != nullptr) {
+    if (spawn) bump(worker->spawned);
+    // push_bottom's seq_cst bottom_ store is this side's half of the idle
+    // handshake (see wake_one_worker).
+    if (worker->deque.push_bottom(fiber)) {
+      wake_one_worker();
+      return;
+    }
+  }
+  {
     std::scoped_lock lock{inject_mutex_};
     inject_.push_back(fiber);
-    injects_.fetch_add(1, std::memory_order_relaxed);
+    inject_size_.store(inject_.size(), std::memory_order_relaxed);
+    ++injects_;
+    if (spawn && worker == nullptr) ++spawned_outside_;
   }
   wake_one_worker();
 }
 
 void Scheduler::wake_one_worker() {
-  // Dekker handshake with the parking path: our pending_ increment is
-  // seq_cst-ordered before this idle_workers_ read; a parker's
-  // idle_workers_ increment is ordered before its pending_ re-check.
+  // Dekker handshake with the parking path in worker_main.  A deque push
+  // is a seq_cst bottom_ store ordered before this seq_cst load; the
+  // parker's seq_cst idle_workers_ increment is ordered before its
+  // seq_cst deque loads in work_visible().  If this load misses the
+  // increment, the increment follows it in the single total order, so
+  // the parker's rescan sees the push.  An inject push is ordered by
+  // inject_mutex_ instead: if the parker's locked rescan came first, its
+  // increment happens-before our unlock-then-load and we see it;
+  // otherwise the rescan sees the fiber.  Either way no fiber is left
+  // runnable while every worker sleeps.
   if (idle_workers_.load(std::memory_order_seq_cst) == 0) return;
   std::scoped_lock lock{idle_mutex_};
   idle_cv_.notify_one();
 }
 
+bool Scheduler::work_visible() const {
+  // A non-zero inject hint is enough to go and look (and is what a
+  // Network::start burst shows); only a zero needs the authoritative read
+  // under the mutex (see wake_one_worker).
+  if (inject_size_.load(std::memory_order_relaxed) != 0) return true;
+  for (const auto& worker : workers_) {
+    if (!worker->deque.empty()) return true;
+  }
+  std::scoped_lock lock{inject_mutex_};
+  return !inject_.empty();
+}
+
 Fiber* Scheduler::pop_inject(Worker& worker) {
+  // Lock-free emptiness hint first: an idle sweep must not write the
+  // mutex's line that every worker shares.  A stale 0 only defers the
+  // fiber to the parker's locked rescan.
+  if (inject_size_.load(std::memory_order_relaxed) == 0) return nullptr;
   std::scoped_lock lock{inject_mutex_};
   if (inject_.empty()) return nullptr;
   Fiber* fiber = inject_.front();
@@ -374,6 +428,7 @@ Fiber* Scheduler::pop_inject(Worker& worker) {
     inject_.pop_front();
     ++moved;
   }
+  inject_size_.store(inject_.size(), std::memory_order_relaxed);
   return fiber;
 }
 
@@ -389,7 +444,7 @@ Fiber* Scheduler::try_steal(Worker& worker) {
     const std::size_t victim = (start + i) % n;
     if (victim == worker.index) continue;
     if (Fiber* fiber = workers_[victim]->deque.steal_top()) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
+      bump(worker.steals);
       return fiber;
     }
   }
@@ -404,6 +459,7 @@ Fiber* Scheduler::find_work(Worker& worker) {
 
 void Scheduler::worker_main(Worker& worker) {
   t_worker = &worker;
+  worker.runq = runq_wait_histogram().acquire();
 #if defined(__SANITIZE_THREAD__)
   worker.tsan_fiber = __tsan_get_current_fiber();
 #endif
@@ -420,23 +476,30 @@ void Scheduler::worker_main(Worker& worker) {
 
   for (;;) {
     if (Fiber* fiber = find_work(worker)) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
       run_fiber(worker, fiber);
       continue;
     }
+    // Park: announce idleness first, then rescan (wake_one_worker has the
+    // other half of the handshake).  The idle mutex is held from the
+    // rescan into the wait, so a notify cannot fall between them.  A wake
+    // that finds nothing visible (another worker took the fiber) sleeps
+    // again without leaving the park.
     std::unique_lock lock{idle_mutex_};
     idle_workers_.fetch_add(1, std::memory_order_seq_cst);
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    obs::flight_record_named(obs::FlightKind::kSchedPark, "worker",
-                             worker.index);
-    idle_cv_.wait(lock, [&] {
-      return stopping_ || pending_.load(std::memory_order_seq_cst) > 0;
-    });
+    if (!stopping_ && !work_visible()) {
+      bump(worker.parks);
+      obs::flight_record_named(obs::FlightKind::kSchedPark, "worker",
+                               worker.index);
+      do {
+        idle_cv_.wait(lock);
+      } while (!stopping_ && !work_visible());
+      obs::flight_record_named(obs::FlightKind::kSchedUnpark, "worker",
+                               worker.index);
+    }
     idle_workers_.fetch_sub(1, std::memory_order_relaxed);
-    obs::flight_record_named(obs::FlightKind::kSchedUnpark, "worker",
-                             worker.index);
-    if (stopping_) return;
+    if (stopping_) break;
   }
+  runq_wait_histogram().release(worker.runq);
 }
 
 void Scheduler::run_fiber(Worker& worker, Fiber* fiber) {
@@ -446,31 +509,33 @@ void Scheduler::run_fiber(Worker& worker, Fiber* fiber) {
   // every byte of fiber state -- stack included -- visible here.
   while (fiber->in_switch_.load(std::memory_order_acquire)) cpu_relax();
 
+  // The one clock read of a dispatch.  It ends the run-queue wait, stamps
+  // a migration's kSchedSteal event, and is the resumed fiber's wake-up
+  // instant (resume_ns), so a pipe waking up reads no clock of its own.
+  // Sharing it keeps this ring's timestamps non-decreasing: the steal
+  // event and the fiber's unblock event carry the same stamp.
+  const std::uint64_t now = steady_ns();
   const int last = fiber->last_worker_;
   const bool migrated = last >= 0 && last != static_cast<int>(worker.index);
   if (fiber->on_phase_) {
     if (migrated) fiber->on_phase_(FiberPhase::kStolen);
     fiber->on_phase_(FiberPhase::kRunning);
   }
-  if (migrated) {
-    obs::flight_record_named(obs::FlightKind::kSchedSteal, fiber->name(),
-                             worker.index, static_cast<std::uint64_t>(last));
-  }
-  // Attribute everything this fiber does (pipe blocks, dials, faults) to
-  // its process name, and charge its deque dwell time to the run-queue
-  // wait histogram.
+  // Attribute everything this fiber does (the steal itself, pipe blocks,
+  // dials, faults) to its process name.
   obs::flight_set_actor(fiber->name());
-  if (fiber->enqueue_ns_ != 0) {
-    const std::uint64_t now = steady_ns();
-    if (now > fiber->enqueue_ns_) {
-      runq_wait_histogram().record_shared(now - fiber->enqueue_ns_);
-    }
-    fiber->enqueue_ns_ = 0;
+  if (migrated) {
+    obs::flight_record_at(obs::FlightKind::kSchedSteal, now, worker.index,
+                          static_cast<std::uint64_t>(last));
   }
+  // Every dispatch follows an enqueue, which stamped enqueue_ns_.
+  worker.runq->record(now > fiber->enqueue_ns_ ? now - fiber->enqueue_ns_
+                                               : 0);
+  bump(worker.dispatches);
   fiber->last_worker_ = static_cast<int>(worker.index);
   fiber->in_switch_.store(true, std::memory_order_relaxed);
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
 
+  t_dispatch_ns = now;
   t_current = fiber;
   tsan_switch(fiber->tsan_fiber_);
 #if defined(__SANITIZE_THREAD__)
@@ -504,7 +569,7 @@ void Scheduler::run_fiber(Worker& worker, Fiber* fiber) {
   if (!finished) return;  // a wait queue owns it now
 
   delete fiber;
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  bump(worker.completed);
   if (live_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::scoped_lock lock{quiesce_mutex_};
     quiesce_cv_.notify_all();
@@ -537,18 +602,24 @@ Scheduler* Scheduler::current() {
 
 Scheduler::Counters Scheduler::counters() const {
   Counters c;
-  c.spawned = spawned_.load(std::memory_order_relaxed);
-  c.completed = completed_.load(std::memory_order_relaxed);
-  c.steals = steals_.load(std::memory_order_relaxed);
-  c.dispatches = dispatches_.load(std::memory_order_relaxed);
-  c.parks = parks_.load(std::memory_order_relaxed);
-  c.injects = injects_.load(std::memory_order_relaxed);
+  for (const auto& worker : workers_) {
+    c.spawned += worker->spawned.load(std::memory_order_relaxed);
+    c.completed += worker->completed.load(std::memory_order_relaxed);
+    c.steals += worker->steals.load(std::memory_order_relaxed);
+    c.dispatches += worker->dispatches.load(std::memory_order_relaxed);
+    c.parks += worker->parks.load(std::memory_order_relaxed);
+  }
+  std::scoped_lock lock{inject_mutex_};
+  c.spawned += spawned_outside_;
+  c.injects = injects_;
   return c;
 }
 
-LatencyHistogram& runq_wait_histogram() {
-  static LatencyHistogram histogram;
-  return histogram;
+ShardedHistogram& runq_wait_histogram() {
+  // Leaked on purpose: worker threads of a scheduler that outlives static
+  // destruction still hand their shard back.
+  static auto* histogram = new ShardedHistogram;
+  return *histogram;
 }
 
 bool spawn_detached(std::function<void()> body, std::string name) {

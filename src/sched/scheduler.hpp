@@ -98,6 +98,9 @@ class WorkStealDeque {
   Fiber* pop_bottom();
   /// Any thread.  Null when empty or when the race was lost.
   Fiber* steal_top();
+  /// Any thread.  Whether the deque holds a fiber, read with seq_cst
+  /// loads: the parking worker's rescan (see Scheduler::work_visible).
+  bool empty() const;
 
  private:
   std::vector<std::atomic<Fiber*>> ring_;
@@ -142,9 +145,11 @@ class Scheduler {
     std::uint64_t completed = 0;   // fibers whose body returned
     std::uint64_t steals = 0;      // successful steal_top calls
     std::uint64_t dispatches = 0;  // worker -> fiber context switches
-    std::uint64_t parks = 0;       // workers that went idle
+    std::uint64_t parks = 0;       // times a worker slept with no work
     std::uint64_t injects = 0;     // fibers routed via the inject queue
   };
+  /// Sums the per-worker counters (each worker writes its own, on its
+  /// own cache line) and the inject queue's.  Readable after shutdown().
   Counters counters() const;
 
   unsigned workers() const { return static_cast<unsigned>(workers_.size()); }
@@ -165,36 +170,44 @@ class Scheduler {
   Fiber* find_work(Worker& worker);
   Fiber* pop_inject(Worker& worker);
   Fiber* try_steal(Worker& worker);
-  void enqueue(Fiber* fiber);
-  /// Dekker-style idle handshake: enqueue() bumps pending_ then checks
-  /// idle_workers_; a parking worker bumps idle_workers_ then re-checks
-  /// pending_ under the idle mutex.  At least one side sees the other.
+  /// Publishes a runnable fiber -- on the calling worker's deque, else on
+  /// the inject queue -- then wakes an idle worker if there is one.
+  /// `spawn` counts it in Counters::spawned.
+  void enqueue(Fiber* fiber, bool spawn);
+  /// Idle handshake, Dekker-style (DESIGN.md section 7): enqueue()
+  /// publishes the fiber (a seq_cst bottom_ store, or the inject push
+  /// under inject_mutex_) and then loads idle_workers_; a parking worker
+  /// increments idle_workers_ and then rescans every deque and the inject
+  /// queue (work_visible) under the idle mutex.  At least one side sees
+  /// the other.
   void wake_one_worker();
+  bool work_visible() const;
 
   SchedulerOptions options_;
   std::size_t stack_bytes_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  std::mutex inject_mutex_;
+  mutable std::mutex inject_mutex_;
   std::deque<Fiber*> inject_;
+  /// inject_.size(), stored under inject_mutex_: a hint that lets
+  /// find_work skip the mutex while the queue is empty.  The parker's
+  /// rescan trusts a non-zero hint and, when it reads 0, reads the queue
+  /// itself under the mutex.
+  std::atomic<std::size_t> inject_size_{0};
+  // Guarded by inject_mutex_: fibers routed via the inject queue, and
+  // fibers spawned from threads that are not this scheduler's workers
+  // (a worker counts its own spawns).
+  std::uint64_t injects_ = 0;
+  std::uint64_t spawned_outside_ = 0;
 
   std::mutex idle_mutex_;
   std::condition_variable idle_cv_;
   std::atomic<std::size_t> idle_workers_{0};
-  /// Runnable fibers not yet claimed by a worker (deques + inject).
-  std::atomic<std::int64_t> pending_{0};
   bool stopping_ = false;
 
   std::atomic<std::size_t> live_{0};
   std::mutex quiesce_mutex_;
   std::condition_variable quiesce_cv_;
-
-  std::atomic<std::uint64_t> spawned_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> dispatches_{0};
-  std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::uint64_t> injects_{0};
 };
 
 /// Spawns `body` as a detached fiber on the current worker's scheduler.
@@ -207,8 +220,9 @@ bool spawn_detached(std::function<void()> body, std::string name = {});
 /// fiber sat runnable (enqueue -> worker switch-in).  The scheduling
 /// analogue of the pipes' blocked-time histograms -- a growing tail here
 /// means the graph is ready to run but starved of workers.  Lands in
-/// NetworkSnapshot v7.
-LatencyHistogram& runq_wait_histogram();
+/// NetworkSnapshot v7.  Sharded per worker thread, so recording writes
+/// no line another worker writes; snapshot() merges the shards.
+ShardedHistogram& runq_wait_histogram();
 
 /// Counting completion latch usable from fibers and plain threads alike:
 /// done() may be called anywhere; wait() suspends the calling fiber (or

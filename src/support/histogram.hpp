@@ -5,6 +5,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 /// Fixed-bucket log2 latency histograms (dpn::obs v2).
 ///
@@ -116,6 +119,50 @@ class LatencyHistogram {
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
   std::atomic<std::uint64_t> sum_ns_{0};
+};
+
+/// A process-wide histogram that many threads record into without a
+/// shared write: each recording thread holds one shard (a LatencyHistogram
+/// on cache lines of its own, recorded single-writer) and snapshot()
+/// merges them.  A thread takes a shard with acquire() and hands it back
+/// with release(); a released shard keeps its counts and goes to the next
+/// thread that asks, so the merged view never goes backwards, keeps the
+/// samples of threads that have exited, and has as many shards as the
+/// most threads that ever held one at once.  The mutex only guards the
+/// shard list; it also orders one holder's last record before the next
+/// holder's first.
+class ShardedHistogram {
+ public:
+  LatencyHistogram* acquire() {
+    std::scoped_lock lock{mutex_};
+    if (!free_.empty()) {
+      LatencyHistogram* shard = free_.back();
+      free_.pop_back();
+      return shard;
+    }
+    shards_.push_back(std::make_unique<Shard>());
+    return &shards_.back()->histogram;
+  }
+
+  void release(LatencyHistogram* shard) {
+    std::scoped_lock lock{mutex_};
+    free_.push_back(shard);
+  }
+
+  HistogramSnapshot snapshot() const {
+    std::scoped_lock lock{mutex_};
+    HistogramSnapshot merged;
+    for (const auto& shard : shards_) merged.merge(shard->histogram.snapshot());
+    return merged;
+  }
+
+ private:
+  struct alignas(64) Shard {
+    LatencyHistogram histogram;
+  };
+  mutable std::mutex mutex_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<LatencyHistogram*> free_;
 };
 
 }  // namespace dpn

@@ -1,8 +1,18 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace dpn {
+
+/// Steady-clock now in nanoseconds since the clock's epoch: the time base
+/// of wait accounting, run-queue stamps and flight-recorder events.
+inline std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Monotonic wall-clock stopwatch used by the benchmark harnesses.
 class Stopwatch {

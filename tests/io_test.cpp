@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <atomic>
+#include <csignal>
 #include <numeric>
 #include <thread>
 
@@ -168,6 +171,53 @@ TEST(Pipe, BlockedCountsVisible) {
   EXPECT_EQ(pipe.blocked_readers(), 1u);
   const ByteVector data = bytes_of({1});
   pipe.write({data.data(), data.size()});
+}
+
+// Holds the thread that takes SIGUSR1 inside the handler until released:
+// a woken cv waiter that cannot get back to its mutex yet.
+std::atomic<int> g_hold{0};  // 1 = a thread is held, 2 = let it go
+
+extern "C" void hold_in_handler(int) {
+  g_hold.store(1);
+  while (g_hold.load() != 2) {
+  }
+}
+
+TEST(Pipe, WakeClaimsThreadReaderBeforeItRuns) {
+  // A write claims the waiters it wakes: the reader stops counting as
+  // blocked at the write, not when it next runs.  The deadlock monitor
+  // reads these counts, and a woken but unscheduled reader is not stuck.
+  struct sigaction hold{};
+  struct sigaction saved{};
+  hold.sa_handler = hold_in_handler;
+  sigemptyset(&hold.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &hold, &saved), 0);
+
+  Pipe pipe{4};
+  std::atomic<bool> read_done{false};
+  std::thread reader{[&] {
+    std::uint8_t b = 0;
+    pipe.read_some({&b, 1});
+    read_done = true;
+  }};
+  // The count rises in the same critical section as the wait begins, so
+  // once we see it the reader is inside the wait with the mutex released.
+  while (pipe.blocked_readers() == 0) std::this_thread::yield();
+  g_hold.store(0);
+  pthread_kill(reader.native_handle(), SIGUSR1);
+  while (g_hold.load() != 1) std::this_thread::yield();
+
+  const ByteVector data = bytes_of({9});
+  pipe.write({data.data(), data.size()});
+  EXPECT_EQ(pipe.blocked_readers(), 0u);
+  EXPECT_EQ(pipe.stats().blocked_readers, 0u);
+  EXPECT_FALSE(read_done.load());
+
+  g_hold.store(2);
+  reader.join();
+  EXPECT_TRUE(read_done.load());
+  EXPECT_EQ(pipe.size(), 0u);
+  sigaction(SIGUSR1, &saved, nullptr);
 }
 
 /// Property: any split of a byte sequence across writes and reads, at any

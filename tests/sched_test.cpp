@@ -1,4 +1,5 @@
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "core/process.hpp"
 #include "io/data.hpp"
 #include "io/pipe.hpp"
+#include "obs/flight.hpp"
 #include "processes/basic.hpp"
 #include "processes/sieve.hpp"
 #include "sched/queue.hpp"
@@ -351,6 +353,196 @@ TEST(SchedNetwork, CompositeRunsComponentsAsSiblingFibers) {
   EXPECT_EQ(sink->values().size(), 50u);
   // The composite plus its two components all ran as fibers.
   EXPECT_GE(network.snapshot().sched_spawned, 3u);
+}
+
+// --- Wake claims: a woken waiter stops counting as blocked ------------------
+
+TEST(Scheduler, WakeClaimsParkedFiberReaderBeforeItRuns) {
+  // The lone worker is held by a spinning fiber, so the reader a write
+  // wakes cannot run yet.  It must already have stopped counting as
+  // blocked: the deadlock monitor reads these counts, and a woken but
+  // unscheduled process is not stuck.
+  sched::Scheduler scheduler{mn_options(1)};
+  auto pipe = std::make_shared<dpn::io::Pipe>(8);
+  std::atomic<bool> read_done{false};
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  scheduler.spawn([pipe, &read_done] {
+    std::uint8_t b = 0;
+    pipe->read_some({&b, 1});
+    read_done = true;
+  });
+  while (pipe->blocked_readers() == 0) std::this_thread::yield();
+  scheduler.spawn([&holding, &release] {
+    holding = true;
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!holding.load()) std::this_thread::yield();
+
+  const std::uint8_t b = 7;
+  pipe->write({&b, 1});  // off the workers: the reader goes to the inject queue
+  EXPECT_EQ(pipe->blocked_readers(), 0u);
+  EXPECT_EQ(pipe->stats().blocked_readers, 0u);
+  EXPECT_FALSE(read_done.load());
+
+  release = true;
+  scheduler.wait_quiescent();
+  EXPECT_TRUE(read_done.load());
+}
+
+// --- Idle handshake ---------------------------------------------------------
+
+/// Plain threads take turns injecting bursts of fibers.  Each fiber parks
+/// on a WaitGroup and then on a BlockingQueue, and the injecting thread
+/// wakes both from off the scheduler (the inject path).  The queue items
+/// go in one at a time, each after a pseudo-random pause of up to ~20 us,
+/// so they land at every phase of a worker going idle after it ran the
+/// previous fiber.  Only one thread injects at a time and it waits for
+/// each item to be taken, so a wake lost in the idle handshake leaves a
+/// fiber runnable with every worker asleep and nothing else to wake them:
+/// the deadline turns that into a failure instead of a hang.  Returns
+/// whether every item was taken in time.
+bool bursts_all_delivered(unsigned workers, int rounds) {
+  constexpr int kThreads = 3;
+  constexpr auto kDeadline = std::chrono::seconds{5};
+  sched::Scheduler scheduler{mn_options(workers)};
+  std::atomic<int> turn{0};
+  std::atomic<bool> stranded{false};
+  std::vector<std::jthread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t rng = 0x9E3779B97F4A7C15ULL * static_cast<unsigned>(t + 1);
+      for (int r = t; r < rounds; r += kThreads) {
+        while (turn.load() != r) std::this_thread::yield();
+        if (stranded.load()) {
+          turn.store(r + 1);
+          continue;
+        }
+        const int burst = 1 + (r * 7) % 8;
+        sched::WaitGroup gate;
+        gate.add(1);
+        sched::BlockingQueue<int> queue;
+        std::atomic<int> done{0};
+        for (int i = 0; i < burst; ++i) {
+          scheduler.spawn([&gate, &queue, &done] {
+            gate.wait();
+            if (queue.pop()) done.fetch_add(1);
+          });
+        }
+        gate.done();
+        for (int i = 0; i < burst; ++i) {
+          rng ^= rng << 13;
+          rng ^= rng >> 7;
+          rng ^= rng << 17;
+          const auto pause = std::chrono::nanoseconds{rng % 20000};
+          const auto resume = std::chrono::steady_clock::now() + pause;
+          while (std::chrono::steady_clock::now() < resume) {
+          }
+          queue.push(i);
+          const auto deadline = std::chrono::steady_clock::now() + kDeadline;
+          while (done.load() <= i) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              stranded.store(true);
+              break;
+            }
+            std::this_thread::yield();
+          }
+          if (stranded.load()) break;
+        }
+        // Watchdog: after a miss, each spawn is one more wake attempt, so
+        // the stranded fibers drain and the test fails instead of hanging.
+        while (done.load() < burst) {
+          queue.push(0);
+          scheduler.spawn([] {});
+          std::this_thread::sleep_for(std::chrono::milliseconds{1});
+        }
+        turn.store(r + 1);
+      }
+    });
+  }
+  threads.clear();  // joins
+  scheduler.wait_quiescent();
+  return !stranded.load();
+}
+
+TEST(IdleHandshake, InjectedBurstsNeverStrandAFiber) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    EXPECT_TRUE(bursts_all_delivered(workers, 3000))
+        << workers << " worker(s): a fiber sat runnable while every "
+        << "worker slept";
+  }
+}
+
+// --- Instrumentation --------------------------------------------------------
+
+TEST(SchedInstrumentation, DispatchesMatchRunqSamplesAfterShutdown) {
+  const std::uint64_t samples_before =
+      sched::runq_wait_histogram().snapshot().count;
+  sched::Scheduler scheduler{mn_options(2)};
+  // A one-byte pipe: every byte parks one side and re-dispatches it.
+  auto pipe = std::make_shared<dpn::io::Pipe>(1);
+  constexpr int kBytes = 500;
+  scheduler.spawn([pipe] {
+    for (int i = 0; i < kBytes; ++i) {
+      const auto b = static_cast<std::uint8_t>(i);
+      pipe->write({&b, 1});
+    }
+    pipe->close_write();
+  });
+  scheduler.spawn([pipe] {
+    std::uint8_t b = 0;
+    while (pipe->read_some({&b, 1}) != 0) {
+    }
+  });
+  scheduler.shutdown();
+
+  // Every dispatch records exactly one run-queue sample, and both survive
+  // the workers: counters and shards are read after the threads are gone.
+  const sched::Scheduler::Counters counters = scheduler.counters();
+  EXPECT_EQ(counters.spawned, 2u);
+  EXPECT_EQ(counters.completed, 2u);
+  EXPECT_EQ(counters.injects, 2u);  // both spawned from this thread
+  EXPECT_GE(counters.dispatches, 2u + kBytes / 2);
+  EXPECT_EQ(sched::runq_wait_histogram().snapshot().count - samples_before,
+            counters.dispatches);
+}
+
+TEST(SchedInstrumentation, ParkedFiberReaderReportsItsWait) {
+  constexpr auto kPark = std::chrono::milliseconds{20};
+  constexpr std::uint64_t kParkNs = 20'000'000;  // kPark in ns
+  constexpr std::uint64_t kFlightId = 0x5c4ed'0000'2015ULL;
+  sched::Scheduler scheduler{mn_options(2)};
+  auto pipe = std::make_shared<dpn::io::Pipe>(8);
+  pipe->set_flight_id(kFlightId);
+  scheduler.spawn([pipe] {
+    std::uint8_t b = 0;
+    pipe->read_some({&b, 1});
+  });
+  while (pipe->blocked_readers() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(kPark);
+  const std::uint8_t b = 1;
+  pipe->write({&b, 1});
+  scheduler.wait_quiescent();
+
+  // The wait ends at the dispatch stamp of the resumed fiber, which is
+  // after the write, which is at least kPark after the park began.
+  const dpn::io::Pipe::Stats stats = pipe->stats();
+  EXPECT_EQ(stats.reader_wakeups, 1u);
+  EXPECT_GE(stats.blocked_read_ns, kParkNs);
+  EXPECT_EQ(stats.read_block.count, 1u);
+
+  if (!dpn::obs::flight_enabled()) return;
+  std::uint64_t block_ns = 0;
+  std::uint64_t unblock_ns = 0;
+  for (const dpn::obs::FlightEvent& event : dpn::obs::flight_export().events) {
+    if (event.a != kFlightId) continue;
+    const auto kind = static_cast<dpn::obs::FlightKind>(event.kind);
+    if (kind == dpn::obs::FlightKind::kChanBlockRead) block_ns = event.ts_ns;
+    if (kind == dpn::obs::FlightKind::kChanUnblockRead) unblock_ns = event.ts_ns;
+  }
+  ASSERT_NE(block_ns, 0u);
+  ASSERT_NE(unblock_ns, 0u);
+  EXPECT_GE(unblock_ns, block_ns + kParkNs);
 }
 
 }  // namespace
