@@ -1,15 +1,15 @@
-// Overhead of the observability layer on the PR 1 channel fast-path
+// Overhead of the observability layer on the channel fast-path
 // microbenchmarks.  The per-channel metrics are always on (relaxed
-// atomics in the endpoint hot path); the tracer adds one relaxed load +
-// predictable branch per op when disabled and a ring-buffer store when
-// enabled.  The acceptance bar is <=3% on the write/read throughput and
-// round-trip numbers vs micro_channels before the obs layer existed --
-// compare against EXPERIMENTS.md.
+// atomics in the endpoint hot path); the flight recorder records nothing
+// per token, and causal tracing (obs::set_causal_tracing) touches only
+// remote DATA frames.  The acceptance bar is <=3% on the write/read
+// throughput and round-trip numbers vs micro_channels before the obs
+// layer existed -- compare against EXPERIMENTS.md.
 //
-// Each benchmark here exists twice: the plain name runs with tracing
-// disabled (the deployment default), the *Traced variant with the ring
-// buffer recording, which bounds the cost of leaving a trace on in
-// production.
+// The channel benchmarks exist twice: the plain name runs with causal
+// tracing off (the deployment default), the *Traced variant with it on,
+// which must cost a local channel nothing.  The frame pair measures what
+// tracing does cost: the stamped DATA frame plus its span event.
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +22,6 @@
 #include "io/memory.hpp"
 #include "net/frames.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
@@ -30,11 +29,7 @@ using namespace dpn;
 
 /// Per-element streaming write cost; arg = ChannelOptions::write_buffer.
 void write_throughput(benchmark::State& state, bool traced) {
-  if (traced) {
-    obs::Tracer::instance().enable();
-  } else {
-    obs::Tracer::instance().disable();
-  }
+  obs::set_causal_tracing(traced);
   core::ChannelOptions options;
   options.capacity = 1 << 16;
   options.write_buffer = static_cast<std::size_t>(state.range(0));
@@ -53,7 +48,7 @@ void write_throughput(benchmark::State& state, bool traced) {
     out.write_i64(value++);
   }
   channel.output()->close();
-  obs::Tracer::instance().disable();
+  obs::set_causal_tracing(false);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
@@ -69,11 +64,7 @@ BENCHMARK(BM_ObsWriteThroughputTraced)->Arg(0)->Arg(8192);
 
 /// Per-element streaming read cost; arg = ChannelOptions::read_buffer.
 void read_throughput(benchmark::State& state, bool traced) {
-  if (traced) {
-    obs::Tracer::instance().enable();
-  } else {
-    obs::Tracer::instance().disable();
-  }
+  obs::set_causal_tracing(traced);
   core::ChannelOptions options;
   options.capacity = 1 << 16;
   options.write_buffer = 8192;
@@ -91,7 +82,7 @@ void read_throughput(benchmark::State& state, bool traced) {
     benchmark::DoNotOptimize(in.read_i64());
   }
   channel.input()->close();
-  obs::Tracer::instance().disable();
+  obs::set_causal_tracing(false);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
@@ -136,35 +127,35 @@ class RingSink final : public io::OutputStream {
 
 /// The wire-path delta of causal context propagation: a plain DATA frame
 /// vs a DATA_TRACED frame (ambient context lookup + span mint + 17-byte
-/// TraceContext prefix) into a memory sink.  This is the entire per-chunk
-/// cost a remote channel pays when tracing is on; when tracing is off the
-/// traced path is never taken, and with DPN_TRACE=0 it compiles out.
+/// TraceContext prefix + the kNetSend flight event) into a memory sink.
+/// This is the entire per-chunk cost a remote channel pays when causal
+/// tracing is on; when it is off the traced path is never taken, and
+/// with DPN_FLIGHT=0 it compiles out.
 /// arg = payload bytes per frame; remote channels flush whole buffered
 /// chunks (KiB scale under credit batching), so the larger args are the
 /// representative ones and 256 B is the small-chunk worst case.
 void frame_write(benchmark::State& state, bool traced) {
+  obs::set_causal_tracing(traced);
   if (traced) {
-    obs::Tracer::instance().enable();
     auto& ambient = obs::current_trace_context();
     ambient.trace_id = obs::new_trace_id();
     ambient.flags = obs::TraceContext::kSampled;
-  } else {
-    obs::Tracer::instance().disable();
   }
   const auto size = static_cast<std::size_t>(state.range(0));
   const ByteVector payload(size, 0x5A);
   auto sink = std::make_shared<RingSink>(1 << 20);
   net::FrameWriter writer{sink};
   for (auto _ : state) {
-    if (obs::trace_enabled()) {
+    if (obs::causal_tracing()) {
       obs::TraceContext ctx = obs::current_trace_context();
       ctx.span_id = obs::next_span_id();
       writer.write_data_traced(ctx, {payload.data(), payload.size()});
+      obs::flight_record(obs::FlightKind::kNetSend, ctx.span_id, size);
     } else {
       writer.write_data({payload.data(), payload.size()});
     }
   }
-  obs::Tracer::instance().disable();
+  obs::set_causal_tracing(false);
   obs::current_trace_context() = {};
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(size));
@@ -222,7 +213,7 @@ BENCHMARK(BM_ObsWriteThroughputFlightOff)->Arg(0)->Arg(8192);
 
 /// Single-element ping through full channel endpoints.
 void BM_ObsElementRoundTrip(benchmark::State& state) {
-  obs::Tracer::instance().disable();
+  obs::set_causal_tracing(false);
   core::Channel channel{4096};
   io::DataOutputStream out{channel.output()};
   io::DataInputStream in{channel.input()};

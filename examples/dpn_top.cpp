@@ -3,7 +3,7 @@
 // Subscribes to a ComputeServer's STATS_STREAM (docs/PROTOCOLS.md
 // Section 6) and redraws a top-style screen per pushed snapshot:
 // hosted processes, channel occupancy and wait-time percentiles, task
-// round-trip and connect latency, trace-ring accounting.
+// round-trip and connect latency, flight-recorder accounting.
 //
 //   ./dpn_top <host> <port> [--interval=ms] [--frames=N]
 //   ./dpn_top --demo [--interval=ms] [--frames=N]
@@ -53,23 +53,18 @@ const char* state_name(dpn::obs::ProcessState state) {
 
 void draw(const dpn::obs::NetworkSnapshot& snap, unsigned frame) {
   std::printf("\x1b[2J\x1b[H");  // clear screen, home cursor
-  std::printf("dpn_top -- frame %u (snapshot v%u)\n", frame,
-              static_cast<unsigned>(snap.version));
+  std::printf("dpn_top -- frame %u\n", frame);
   std::printf("live: %" PRIu64 "  remote tx/rx: %" PRIu64 "/%" PRIu64
               " B  growth: %" PRIu64 "\n",
               snap.live, snap.remote_bytes_sent, snap.remote_bytes_received,
               snap.growth_events);
-  std::printf("trace: recorded=%" PRIu64 " dropped=%" PRIu64
-              "  faults: retries=%" PRIu64 " lost=%" PRIu64 "\n",
-              snap.trace_recorded, snap.trace_dropped, snap.connect_retries,
-              snap.workers_lost);
-  if (snap.flight_recorded > 0 || snap.flight_dumps > 0) {
-    // Version-7 flight recorder: always-on ring accounting; any dumps
-    // means a post-mortem file exists on some host.
-    std::printf("flight: recorded=%" PRIu64 " dropped=%" PRIu64
-                " dumps=%" PRIu64 "\n",
-                snap.flight_recorded, snap.flight_dropped, snap.flight_dumps);
-  }
+  // Always-on flight-recorder accounting; any dumps means a post-mortem
+  // file exists on some host.
+  std::printf("flight: recorded=%" PRIu64 " dropped=%" PRIu64
+              " dumps=%" PRIu64 "  faults: retries=%" PRIu64 " lost=%" PRIu64
+              "\n",
+              snap.flight_recorded, snap.flight_dropped, snap.flight_dumps,
+              snap.connect_retries, snap.workers_lost);
   if (!snap.sched_runq.empty()) {
     std::printf("runq wait p50/p95/p99: %" PRIu64 "/%" PRIu64 "/%" PRIu64
                 " us  (n=%" PRIu64 ")\n",
@@ -92,7 +87,7 @@ void draw(const dpn::obs::NetworkSnapshot& snap, unsigned frame) {
                 snap.connect_latency.count);
   }
   if (snap.mux_connections > 0) {
-    // Version-5 transport plane: how many logical channels ride each TCP
+    // Transport plane: how many logical channels ride each TCP
     // connection, and how long writers sat waiting for credit.
     std::printf("mux: %" PRIu64 " conn  %" PRIu64 "/%" PRIu64
                 " streams (%.1f per conn)  credit stalls: %" PRIu64
@@ -115,7 +110,7 @@ void draw(const dpn::obs::NetworkSnapshot& snap, unsigned frame) {
     char occupancy[24];
     std::snprintf(occupancy, sizeof occupancy, "%" PRIu64 "/%" PRIu64,
                   channel.buffered, channel.capacity);
-    // Version-6 typed fast path: value counts, plus a bytes estimate from
+    // Typed fast path: value counts, plus a bytes estimate from
     // the byte-plane capacity the ring's occupancy was folded into
     // (capacity bytes / capacity values = the codec's wire size).
     char typed[32] = "-";

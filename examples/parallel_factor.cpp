@@ -10,9 +10,10 @@
 //   ./parallel_factor [workers] [tasks] [prime_bits] [static|dynamic]
 //                     [--trace=out.json] [--chaos[=K]]
 //
-// With --trace=FILE the run records runtime events (channel ops, task
-// dispatch, monitor decisions) into the obs ring buffer and exports them
-// as Chrome trace_event JSON (load in chrome://tracing / ui.perfetto.dev).
+// With --trace=FILE the run switches causal tracing on and exports the
+// flight recorder's window (process start/stop, channel blocks, monitor
+// decisions, span events) as Chrome trace_event JSON (load in
+// chrome://tracing / ui.perfetto.dev).
 // With --chaos one worker is killed mid-task after K completed batches
 // (default 2); the dynamic schema's recovery ledger re-issues its
 // in-flight work to the survivors and the run still factors N
@@ -29,7 +30,7 @@
 #include "cluster/cluster.hpp"
 #include "factor/factor.hpp"
 #include "fault/fault.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 #include "par/schema.hpp"
 #include "support/stopwatch.hpp"
 
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (trace_file != nullptr) obs::Tracer::instance().enable();
+  if (trace_file != nullptr) obs::set_causal_tracing(true);
 
   // Figure 1 built with the connect() builder: Producer -> tasks ->
   // schema -> results -> Consumer, all channels watched by the network.
@@ -177,14 +178,15 @@ int main(int argc, char** argv) {
   // used to leave a truncated/empty JSON behind.
   const auto write_trace = [&] {
     if (trace_file == nullptr) return;
-    auto& tracer = obs::Tracer::instance();
-    tracer.disable();
+    obs::set_causal_tracing(false);
+    const obs::FlightExport window = obs::flight_export();
     std::ofstream out{trace_file};
-    out << tracer.chrome_trace_json();
+    out << obs::chrome_trace_json(window.events, window.recorded,
+                                  window.dropped);
     out.close();
     std::printf("trace: %llu events recorded, newest %zu written to %s\n",
-                static_cast<unsigned long long>(tracer.recorded()),
-                tracer.drain().size(), trace_file);
+                static_cast<unsigned long long>(window.recorded),
+                window.events.size(), trace_file);
   };
   try {
     network.run();

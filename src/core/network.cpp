@@ -4,7 +4,6 @@
 #include <set>
 
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "support/log.hpp"
 
 namespace dpn::core {
@@ -295,8 +294,8 @@ bool Network::grow_smallest_blocked(double factor, std::size_t max_capacity) {
     pipe_victim->grow(new_capacity);
   }
   growth_events_.fetch_add(1);
-  DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, "ddm", old_capacity,
-                  new_capacity);
+  obs::flight_record_named(obs::FlightKind::kMonitorGrow, "ddm", old_capacity,
+                           new_capacity);
   return true;
 }
 
@@ -336,7 +335,6 @@ bool Network::resolve_stall(const obs::NetworkSnapshot& stall) {
     // makes that evidence stale, not a deadlock.  Re-poll in that case.
     if (live_.load() != stall.live) return true;
     outcome_.store(DeadlockOutcome::kTrueDeadlock);
-    DPN_TRACE_EVENT(obs::TraceKind::kMonitorDeadlock, "all-blocked-reading");
     log::warn("network: true deadlock (all processes blocked reading)");
     // Post-mortem before the abort wakes anyone: the block events still
     // standing in the rings ARE the wait-for graph.
@@ -354,8 +352,6 @@ bool Network::resolve_stall(const obs::NetworkSnapshot& stall) {
   if (new_capacity > options_.max_channel_capacity) {
     if (live_.load() != stall.live) return true;  // stale evidence
     outcome_.store(DeadlockOutcome::kTrueDeadlock);
-    DPN_TRACE_EVENT(obs::TraceKind::kMonitorDeadlock, victim->label,
-                    old_capacity);
     log::warn("network: channel '", victim->label, "' hit the capacity cap (",
               options_.max_channel_capacity, " bytes); treating as deadlock");
     obs::flight_record_named(obs::FlightKind::kDeadlockAbort, victim->label,
@@ -412,8 +408,8 @@ bool Network::apply_growth(const obs::NetworkSnapshot& stall, double factor,
     if (new_capacity <= old_capacity) return false;
     ring->grow(std::max(new_capacity / vb, ring->capacity() + 1));
     growth_events_.fetch_add(1);
-    DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, victim_row->label,
-                    old_capacity, new_capacity);
+    obs::flight_record_named(obs::FlightKind::kMonitorGrow, victim_row->label,
+                             old_capacity, new_capacity);
     return true;
   }
   if (victim->blocked_writers() == 0) return false;  // writer moved on
@@ -425,8 +421,8 @@ bool Network::apply_growth(const obs::NetworkSnapshot& stall, double factor,
   if (new_capacity <= old_capacity) return false;
   victim->grow(new_capacity);
   growth_events_.fetch_add(1);
-  DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, victim_row->label,
-                  old_capacity, new_capacity);
+  obs::flight_record_named(obs::FlightKind::kMonitorGrow, victim_row->label,
+                           old_capacity, new_capacity);
   return true;
 }
 

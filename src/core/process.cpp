@@ -3,7 +3,7 @@
 #include <exception>
 #include <mutex>
 
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 #include "sched/scheduler.hpp"
 #include "support/log.hpp"
 
@@ -32,14 +32,14 @@ class StopGuard {
 
 void IterativeProcess::run() {
   stats()->set_state(obs::ProcessState::kRunning);
-  DPN_TRACE_EVENT(obs::TraceKind::kProcessStart, name());
+  obs::flight_record_named(obs::FlightKind::kProcessStart, name());
   bool abandoned = false;
   StopGuard guard{[this, &abandoned] {
     // Either way the local instance is done: a shipped process's successor
     // carries its own stats object.
     stats()->set_state(obs::ProcessState::kFinished);
-    DPN_TRACE_EVENT(obs::TraceKind::kProcessStop, name(),
-                    stats()->steps.load(std::memory_order_relaxed));
+    obs::flight_record_named(obs::FlightKind::kProcessStop, name(),
+                             stats()->steps.load(std::memory_order_relaxed));
     if (abandoned) return;  // endpoints belong to the migrated successor
     on_stop();
     close_all();

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "support/log.hpp"
 
 namespace dpn::dist {
@@ -122,7 +121,7 @@ bool FrameChannelInput::next_frame() {
       // context bytes, adopt the context as this thread's ambient one
       // (spans recorded downstream chain to it), and mark the arrival --
       // same span id as the producer's kNetSend, which is what the
-      // exporter turns into a cross-host flow arrow.
+      // Chrome renderer turns into a cross-host flow arrow.
       if (header.length < obs::TraceContext::kWireSize) {
         throw IoError{"traced data frame shorter than its context"};
       }
@@ -131,8 +130,8 @@ bool FrameChannelInput::next_frame() {
       const auto ctx = obs::TraceContext::decode(ctx_bytes);
       obs::current_trace_context() = ctx;
       payload_left_ = header.length - obs::TraceContext::kWireSize;
-      DPN_TRACE_EVENT(obs::TraceKind::kNetRecv, "data", ctx.span_id,
-                      payload_left_);
+      obs::flight_record(obs::FlightKind::kNetRecv, ctx.span_id,
+                         payload_left_);
       return true;
     }
     case net::FrameType::kFin:
@@ -177,8 +176,8 @@ void FrameChannelInput::handle_redirect(const net::RedirectInfo& info) {
   }
   if (info.trace.valid()) {
     obs::current_trace_context() = info.trace;
-    DPN_TRACE_EVENT(obs::TraceKind::kShipRecv, "redirect",
-                    info.trace.span_id, info.token);
+    obs::flight_record_named(obs::FlightKind::kShipRecv, "redirect",
+                             info.trace.span_id, info.token);
   }
   auto promise = node_->rendezvous().expect(info.token);
   auto successor =
@@ -255,7 +254,7 @@ void FrameChannelOutput::write(ByteSpan data) {
     for (std::size_t offset = 0; offset < data.size();) {
       const std::size_t chunk =
           std::min(kMaxFramePayload, data.size() - offset);
-      if (obs::trace_enabled()) {
+      if (obs::causal_tracing()) {
         // Stamp the frame with a fresh span in this thread's ambient
         // trace (minting the trace lazily): the consumer's kNetRecv of
         // the same span id becomes the flow arrow across the wire.
@@ -267,7 +266,7 @@ void FrameChannelOutput::write(ByteSpan data) {
         obs::TraceContext ctx = ambient;
         ctx.span_id = obs::next_span_id();
         writer_->write_data_traced(ctx, data.subspan(offset, chunk));
-        DPN_TRACE_EVENT(obs::TraceKind::kNetSend, "data", ctx.span_id, chunk);
+        obs::flight_record(obs::FlightKind::kNetSend, ctx.span_id, chunk);
       } else {
         writer_->write_data(data.subspan(offset, chunk));
       }
@@ -316,7 +315,7 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
   ensure_connected_locked();
   net::RedirectInfo info;
   info.token = successor_token;
-  if (obs::trace_enabled()) {
+  if (obs::causal_tracing()) {
     // The redirect handshake is part of a SHIP lifecycle: stamp it so
     // the consumer's acceptance (kShipRecv) links back to this span.
     info.trace.trace_id = obs::current_trace_context().valid()
@@ -324,8 +323,8 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
                               : obs::new_trace_id();
     info.trace.span_id = obs::next_span_id();
     info.trace.flags = obs::TraceContext::kSampled;
-    DPN_TRACE_EVENT(obs::TraceKind::kShipSend, "redirect",
-                    info.trace.span_id, successor_token);
+    obs::flight_record_named(obs::FlightKind::kShipSend, "redirect",
+                             info.trace.span_id, successor_token);
   }
   {
     // In-band, so it waits for window like data: counted as a blocked

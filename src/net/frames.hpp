@@ -5,7 +5,7 @@
 #include <string>
 
 #include "io/stream.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 #include "support/bytes.hpp"
 
 /// Frame codec for remote channels.
@@ -34,9 +34,9 @@ enum class FrameType : std::uint8_t {
   kRedirect = 3,
   /// kData with a 17-byte TraceContext prefix (trace_id:u64 span_id:u64
   /// flags:u8) ahead of the channel bytes -- the frame extension of
-  /// docs/PROTOCOLS.md Section 6.  Emitted only while tracing is
-  /// enabled, so the wire format is byte-identical to the untraced
-  /// protocol otherwise; both ends must know the extension to use it.
+  /// docs/PROTOCOLS.md Section 6.  Emitted only while causal tracing is
+  /// on (obs::set_causal_tracing), so the wire format is byte-identical
+  /// to the untraced protocol otherwise.
   kDataTraced = 5,
 };
 
@@ -74,7 +74,7 @@ class FrameWriter {
   void write_data(ByteSpan data);
   /// write_data with the trace-context frame extension: the 17 context
   /// bytes ride in the same single vectored transport write as the
-  /// header and payload, so enabling tracing adds no extra syscall.
+  /// header and payload, so causal tracing adds no extra syscall.
   void write_data_traced(const obs::TraceContext& ctx, ByteSpan data);
   void write_fin();
   void write_redirect(const RedirectInfo& info);

@@ -20,7 +20,6 @@
 #include "net/reactor.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "sched/fiber.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -48,7 +47,9 @@ constexpr std::chrono::milliseconds kHandshakeTimeout{10000};
 enum class MuxFrame : std::uint8_t {
   kOpen = 0,
   kData = 1,
-  kDataTraced = 2,
+  // 2 was DATA_TRACED; retired (a remote channel's frame layer carries
+  // the trace context), so it now kills the connection like any unknown
+  // type.
   kCredit = 3,
   kFin = 4,
   kRst = 5,
@@ -116,8 +117,6 @@ class MuxStream final : public Stream,
   /// as a FIN frame, which is how FIN stays ordered after the data.
   struct Chunk {
     ByteVector bytes;
-    obs::TraceContext ctx;
-    bool traced = false;
     bool fin = false;
   };
 
@@ -146,7 +145,7 @@ class MuxStream final : public Stream,
 
   // Loop-side entry points (called by MuxConnection with no locks held).
   /// Throws NetError when the peer sends past the credit it was granted.
-  void on_data(ByteSpan payload, const obs::TraceContext* ctx);
+  void on_data(ByteSpan payload);
   void on_credit(std::uint32_t bytes);
   void on_fin();
   void on_rst();
@@ -164,8 +163,6 @@ class MuxStream final : public Stream,
   struct InSeg {
     ByteVector bytes;
     std::size_t pos = 0;
-    obs::TraceContext ctx;
-    bool traced = false;
     bool eof = false;
   };
 
@@ -454,12 +451,6 @@ std::size_t MuxStream::read_some(MutableByteSpan out) {
   const std::size_t n = std::min(out.size(), front.bytes.size() - front.pos);
   std::memcpy(out.data(), front.bytes.data() + front.pos, n);
   front.pos += n;
-  if (front.traced && front.ctx.valid()) {
-    // Context propagation only: the consuming thread adopts the sender's
-    // ambient context.  Span events stay the channel layer's job -- a
-    // mux-level event pair here would double every flow arrow.
-    obs::current_trace_context() = front.ctx;
-  }
   if (front.pos == front.bytes.size()) inbound_.pop_front();
   inbound_bytes_ -= n;
   unacked_ += n;
@@ -521,13 +512,10 @@ void MuxStream::write_all(ByteSpan data) {
       take = std::min({data.size(),
                        static_cast<std::size_t>(send_window_), coalesce_});
       send_window_ -= static_cast<std::int64_t>(take);
-      const bool traced =
-          obs::trace_enabled() && obs::current_trace_context().valid();
       Chunk* tail = pending_.empty() ? nullptr : &pending_.back();
-      if (!traced && tail != nullptr && !tail->fin && !tail->traced &&
-          tail->bytes.size() < coalesce_) {
-        // Coalesce small untraced writes: the window was already claimed,
-        // so merging buffers only reduces frame count.
+      if (tail != nullptr && !tail->fin && tail->bytes.size() < coalesce_) {
+        // Coalesce small writes: the window was already claimed, so
+        // merging buffers only reduces frame count.
         const std::size_t room = coalesce_ - tail->bytes.size();
         const std::size_t merged = std::min(room, take);
         tail->bytes.insert(tail->bytes.end(), data.begin(),
@@ -542,10 +530,6 @@ void MuxStream::write_all(ByteSpan data) {
         Chunk chunk;
         chunk.bytes.assign(data.begin(),
                            data.begin() + static_cast<std::ptrdiff_t>(take));
-        if (traced) {
-          chunk.traced = true;
-          chunk.ctx = obs::current_trace_context();
-        }
         pending_.push_back(std::move(chunk));
       }
       data = data.subspan(take);
@@ -632,7 +616,7 @@ std::string MuxStream::peer_description() const {
   return conn_->peer() + "/mux#" + std::to_string(id_);
 }
 
-void MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
+void MuxStream::on_data(ByteSpan payload) {
   std::unique_lock lock{mutex_};
   if (read_shutdown_ || dead_) return;  // already RST'd; drop in-flight data
   if (payload.size() > recv_allowance_) {
@@ -643,10 +627,6 @@ void MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
   recv_allowance_ -= payload.size();
   InSeg seg;
   seg.bytes.assign(payload.begin(), payload.end());
-  if (ctx != nullptr) {
-    seg.traced = true;
-    seg.ctx = *ctx;
-  }
   inbound_bytes_ += seg.bytes.size();
   inbound_.push_back(std::move(seg));
   wake_readers_locked();
@@ -906,15 +886,6 @@ void MuxConnection::flush() {
     if (!got) continue;
     if (chunk.fin) {
       append_header(out_buf_, stream->id(), MuxFrame::kFin, 0);
-    } else if (chunk.traced) {
-      append_header(
-          out_buf_, stream->id(), MuxFrame::kDataTraced,
-          static_cast<std::uint32_t>(chunk.bytes.size() +
-                                     obs::TraceContext::kWireSize));
-      std::uint8_t ctx[obs::TraceContext::kWireSize];
-      chunk.ctx.encode(ctx);
-      out_buf_.insert(out_buf_.end(), ctx, ctx + sizeof ctx);
-      out_buf_.insert(out_buf_.end(), chunk.bytes.begin(), chunk.bytes.end());
     } else {
       append_header(out_buf_, stream->id(), MuxFrame::kData,
                     static_cast<std::uint32_t>(chunk.bytes.size()));
@@ -1024,17 +995,8 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
   }
   switch (type) {
     case MuxFrame::kData:
-      stream->on_data(payload, nullptr);
+      stream->on_data(payload);
       return;
-    case MuxFrame::kDataTraced: {
-      if (payload.size() < obs::TraceContext::kWireSize) {
-        throw NetError{"short DATA_TRACED frame"};
-      }
-      const obs::TraceContext ctx =
-          obs::TraceContext::decode(payload.data());
-      stream->on_data(payload.subspan(obs::TraceContext::kWireSize), &ctx);
-      return;
-    }
     case MuxFrame::kCredit:
       if (payload.size() != 4) throw NetError{"malformed CREDIT frame"};
       stream->on_credit(get_u32(payload.data()));

@@ -28,8 +28,7 @@
 ///                  directions start with `window` bytes of send credit
 ///                  (1..kMaxStreamWindow, else the connection dies)
 ///   DATA(1)        payload = stream bytes (counted against the window)
-///   DATA_TRACED(2) payload = TraceContext(17B) + stream bytes; the
-///                  context bytes are NOT counted against the window
+///   (2)            retired (was DATA_TRACED); unknown, kills the connection
 ///   CREDIT(3)      payload = bytes:u32 -- receiver consumed (or granted a
 ///                  bonus), send more
 ///   FIN(4)         sender finished writing (ordered after its data)

@@ -1,6 +1,7 @@
 #include "obs/flight.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -58,6 +59,18 @@ std::string actor_of(const FlightEvent& ev) {
   return std::string{buf};
 }
 
+/// Span/trace ids: one process-wide counter, seeded from the clock so
+/// two real hosts allocating independently are unlikely to collide
+/// (collision cost: a spurious flow arrow in a merged trace, nothing
+/// functional).  Never returns 0 -- 0 means "no context".
+std::atomic<std::uint64_t>& id_counter() {
+  static std::atomic<std::uint64_t> counter{(steady_ns() << 16) | 1};
+  return counter;
+}
+
+thread_local TraceContext t_context;
+thread_local std::uint32_t t_node_tag = 0;
+
 bool is_channel_kind(FlightKind k) {
   switch (k) {
     case FlightKind::kChanBlockRead:
@@ -98,9 +111,56 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kWorkerLost: return "fault.worker_lost";
     case FlightKind::kDeadlockAbort: return "ddm.abort";
     case FlightKind::kDump: return "flight.dump";
+    case FlightKind::kProcessStart: return "process.start";
+    case FlightKind::kProcessStop: return "process.stop";
+    case FlightKind::kMigrate: return "dist.migrate";
+    case FlightKind::kMonitorGrow: return "ddm.grow";
+    case FlightKind::kNetSend: return "net.send";
+    case FlightKind::kNetRecv: return "net.recv";
+    case FlightKind::kShipSend: return "ship.send";
+    case FlightKind::kShipRecv: return "ship.recv";
   }
   return "unknown";
 }
+
+void TraceContext::encode(std::uint8_t out[kWireSize]) const {
+  put_u64(out, trace_id);
+  put_u64(out + 8, span_id);
+  out[16] = flags;
+}
+
+TraceContext TraceContext::decode(const std::uint8_t in[kWireSize]) {
+  TraceContext ctx;
+  ctx.trace_id = get_u64(in);
+  ctx.span_id = get_u64(in + 8);
+  ctx.flags = in[16];
+  return ctx;
+}
+
+TraceContext& current_trace_context() { return t_context; }
+
+std::uint64_t next_span_id() {
+  // Spans are minted once per traced frame, so amortize the shared
+  // fetch_add over thread-local blocks.  Ids stay unique (blocks never
+  // overlap); only ordering across threads is lost, and span ids carry
+  // no ordering meaning.
+  constexpr std::uint64_t kBlock = 256;
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    next = id_counter().fetch_add(kBlock, std::memory_order_relaxed);
+    end = next + kBlock;
+  }
+  return next++;
+}
+
+std::uint64_t new_trace_id() {
+  return id_counter().fetch_add(1, std::memory_order_relaxed);
+}
+
+void set_node_tag(std::uint32_t tag) { t_node_tag = tag; }
+
+std::uint32_t node_tag() { return t_node_tag; }
 
 ByteVector FlightExport::encode() const {
   ByteVector out(kHeaderWire + events.size() * kEventWire);
@@ -296,6 +356,71 @@ std::string flight_report(const std::vector<FlightEvent>& events,
   return out;
 }
 
+std::string chrome_trace_json(const std::vector<FlightEvent>& events,
+                              std::uint64_t recorded, std::uint64_t dropped) {
+  std::uint64_t origin = ~std::uint64_t{0};
+  std::set<std::uint16_t> nodes;
+  for (const FlightEvent& ev : events) {
+    origin = std::min(origin, ev.ts_ns);
+    nodes.insert(ev.node);
+  }
+  std::string out = "{\"traceEvents\":[";
+  bool comma = false;
+  const auto open = [&](const char* name, const char* ph) {
+    if (comma) out += ',';
+    comma = true;
+    out += "{\"name\":\"";
+    out += name;
+    out += "\",\"ph\":\"";
+    out += ph;
+    out += '"';
+  };
+  // One Chrome "process" row per node tag, labelled so a merged fleet
+  // trace reads host-by-host.
+  for (const std::uint16_t node : nodes) {
+    open("process_name", "M");
+    out += ",\"pid\":" + std::to_string(node) + ",\"args\":{\"name\":\"";
+    out += node == 0 ? "dpn host 0 (local)"
+                     : "dpn host " + std::to_string(node);
+    out += "\"}}";
+  }
+  for (const FlightEvent& ev : events) {
+    const auto kind = static_cast<FlightKind>(ev.kind);
+    // Chrome expects microseconds; keep sub-microsecond as a fraction.
+    const std::uint64_t rel = ev.ts_ns - origin;
+    char at[96];
+    std::snprintf(at, sizeof at, ",\"pid\":%u,\"tid\":%u,\"ts\":%llu.%03llu",
+                  static_cast<unsigned>(ev.node), static_cast<unsigned>(ev.tid),
+                  static_cast<unsigned long long>(rel / 1000),
+                  static_cast<unsigned long long>(rel % 1000));
+    open(to_string(kind), "i");
+    out += ",\"s\":\"t\"";
+    out += at;
+    out += ",\"args\":{\"who\":\"";
+    for (const char c : actor_of(ev)) {
+      if (c == '"' || c == '\\') out += '\\';
+      if (static_cast<unsigned char>(c) >= 0x20) out += c;
+    }
+    out += "\",\"a\":" + std::to_string(ev.a) +
+           ",\"b\":" + std::to_string(ev.b) + "}}";
+    // Span kinds also carry a flow arrow.  Chrome binds begin/finish by
+    // category + name + id, so both ends share a name and the span id
+    // from the wire is the id: a net.send on one pid and the net.recv
+    // that consumed the same frame on another are joined.
+    if (is_flow_start(kind) || is_flow_finish(kind)) {
+      open("dpn.flow", is_flow_start(kind) ? "s" : "f");
+      out += ",\"cat\":\"dpn.flow\"";
+      if (is_flow_finish(kind)) out += ",\"bp\":\"e\"";
+      out += ",\"id\":" + std::to_string(ev.a);
+      out += at;
+      out += '}';
+    }
+  }
+  out += "],\"metadata\":{\"recorded\":" + std::to_string(recorded) +
+         ",\"dropped\":" + std::to_string(dropped) + "}}";
+  return out;
+}
+
 #if DPN_FLIGHT
 
 // ---------------------------------------------------------------------------
@@ -307,8 +432,10 @@ namespace {
 /// registered in a lock-free fixed array, and deliberately never freed:
 /// a post-mortem dump must be able to read the rings of threads that
 /// have already exited (and a signal handler must be able to walk the
-/// registry without taking any lock).
-struct FlightRing {
+/// registry without taking any lock).  A cache line of its own: each
+/// recording thread bumps `seq` per event, and headers allocated back to
+/// back would otherwise share lines across threads.
+struct alignas(64) FlightRing {
   std::atomic<std::uint64_t> seq{0};      // events ever written
   std::atomic<std::uint64_t> discard{0};  // events dropped by flight_reset
   std::uint32_t tid = 0;
@@ -353,7 +480,6 @@ std::uint32_t thread_tag() {
 thread_local FlightRing* t_ring = nullptr;
 thread_local bool t_ring_failed = false;
 thread_local char t_actor[16] = {};
-thread_local std::uint16_t t_node = 0;
 
 FlightRing* ring_for_thread() {
   if (t_ring != nullptr) return t_ring;
@@ -366,11 +492,22 @@ FlightRing* ring_for_thread() {
     t_ring_failed = true;
     return nullptr;
   }
+  // Slots come from an anonymous mapping: zero pages the kernel backs
+  // only as events land, so a thread that records a handful of events
+  // (a process start and stop, one block) costs one page, not a whole
+  // ring -- thread-per-process graphs have one ring per process.
+  const std::size_t cap = ring_capacity();
+  void* slots = ::mmap(nullptr, cap * sizeof(FlightEvent),
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+  if (slots == MAP_FAILED) {
+    t_ring_failed = true;
+    return nullptr;
+  }
   auto* ring = new FlightRing;
   ring->tid = thread_tag();
-  const std::size_t cap = ring_capacity();
   ring->mask = static_cast<std::uint32_t>(cap - 1);
-  ring->slots = new FlightEvent[cap]();
+  ring->slots = static_cast<FlightEvent*>(slots);
   g_rings[index].store(ring, std::memory_order_release);
   t_ring = ring;
   return ring;
@@ -428,6 +565,7 @@ extern "C" void flight_crash_handler(int sig) {
 namespace detail {
 
 std::atomic<bool> g_flight_on{initial_flight_on()};
+std::atomic<bool> g_causal_on{false};
 
 void flight_record_slow(FlightKind kind, std::string_view who,
                         std::uint64_t a, std::uint64_t b,
@@ -440,7 +578,7 @@ void flight_record_slow(FlightKind kind, std::string_view who,
   ev.a = a;
   ev.b = b;
   ev.tid = ring->tid;
-  ev.node = t_node;
+  ev.node = static_cast<std::uint16_t>(t_node_tag);
   ev.kind = static_cast<std::uint8_t>(kind);
   if (who.empty()) {
     std::memcpy(ev.who, t_actor, sizeof ev.who);
@@ -460,10 +598,12 @@ void flight_set_actor(std::string_view name) {
   t_actor[len] = '\0';
 }
 
-void flight_set_node(std::uint16_t tag) { t_node = tag; }
-
 void set_flight_enabled(bool on) {
   detail::g_flight_on.store(on, std::memory_order_relaxed);
+}
+
+void set_causal_tracing(bool on) {
+  detail::g_causal_on.store(on, std::memory_order_relaxed);
 }
 
 void flight_reset() {
@@ -631,8 +771,8 @@ void flight_install_crash_handler() {
 #else  // DPN_FLIGHT == 0: recording compiled out, rendering kept.
 
 void set_flight_enabled(bool) {}
+void set_causal_tracing(bool) {}
 void flight_reset() {}
-void flight_set_node(std::uint16_t) {}
 FlightCounters flight_counters() { return {}; }
 FlightExport flight_export(std::int64_t node_filter) {
   FlightExport exp;

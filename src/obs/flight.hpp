@@ -9,19 +9,24 @@
 
 #include "support/bytes.hpp"
 
-/// The flight recorder: an always-on black box for post-mortem analysis.
+/// The flight recorder: dpn's one event pipeline, an always-on black box
+/// for post-mortem analysis that doubles as the causal tracer.
 ///
-/// Unlike the opt-in Tracer (DPN_TRACE, one global ring, Chrome export),
-/// the flight recorder runs *by default* and is built to answer one
-/// question after something already went wrong: what was the runtime
-/// doing in the seconds before the deadlock abort / WorkerLost / crash?
+/// It runs *by default* and is built to answer one question after
+/// something already went wrong: what was the runtime doing in the
+/// seconds before the deadlock abort / WorkerLost / crash?  With causal
+/// tracing switched on (set_causal_tracing) the same rings also carry
+/// span events -- a TraceContext stamped on DATA frames and ship/submit
+/// handshakes -- which chrome_trace_json and rmi::fleet_trace render as
+/// one cross-host Chrome timeline.
 ///
 /// Design constraints, in order:
 ///  1. near-zero cost when the network is healthy: events are recorded
 ///     only at points that are already slow (a fiber parking, a channel
-///     blocking, a dial, a credit stall, a fault) -- never on the
-///     per-token fast path -- and each record is a handful of plain
-///     stores into a thread-local slot;
+///     blocking, a dial, a credit stall, a fault, a process starting) --
+///     never on the per-token fast path -- and each record is a handful
+///     of plain stores into a thread-local slot.  Span events are the
+///     one per-frame kind, and only while causal tracing is on;
 ///  2. bounded memory: one fixed ring per recording thread (capacity
 ///     from DPN_FLIGHT_EVENTS, default 2048 events x 48 bytes), oldest
 ///     events overwritten;
@@ -29,13 +34,14 @@
 ///     live in a lock-free fixed registry of leaked allocations, so a
 ///     SIGSEGV handler can walk them with nothing but open/write/close;
 ///  4. mergeable across a fleet: events carry the host's node tag and a
-///     steady-clock timestamp that rmi::fleet_dump aligns with the same
-///     TIME_SYNC offsets fleet_trace uses.
+///     steady-clock timestamp that rmi::fleet_dump and rmi::fleet_trace
+///     align with minimum-RTT TIME_SYNC offsets.
 ///
 /// Compile-time kill switch: build with -DDPN_FLIGHT=0 (CMake option
 /// DPN_FLIGHT_RECORDER=OFF) and every call site becomes an empty inline
-/// function -- measured 0% overhead.  At runtime, DPN_FLIGHT=0 in the
-/// environment (or set_flight_enabled(false)) stops recording.
+/// function -- measured 0% overhead -- and causal tracing stays off.  At
+/// runtime, DPN_FLIGHT=0 in the environment (or set_flight_enabled(false))
+/// stops recording.
 #ifndef DPN_FLIGHT
 #define DPN_FLIGHT 1
 #endif
@@ -77,9 +83,66 @@ enum class FlightKind : std::uint8_t {
   kWorkerLost = 18,     // who = what was lost
   kDeadlockAbort = 19,  // who = why
   kDump = 20,           // a dump was taken (who = reason)
+  // Lifecycle (who = process name, or channel label for kMonitorGrow).
+  kProcessStart = 21,
+  kProcessStop = 22,   // a = steps completed
+  kMigrate = 23,       // running process migrated (paper Section 6.1)
+  kMonitorGrow = 24,   // a = old capacity, b = new capacity (bytes)
+  // Causal spans, recorded only while causal tracing is on: a = span id
+  // of the TraceContext on the wire, b = payload bytes (net) or the
+  // redirect token / shipment bytes (ship).  A send on one host and the
+  // receive of the same span id on another form a flow arrow.
+  kNetSend = 25,   // DATA frame stamped with a TraceContext left this host
+  kNetRecv = 26,   // ...and arrived at the consuming host
+  kShipSend = 27,  // SUBMIT_TRACED / REDIRECT handshake sent with a context
+  kShipRecv = 28,  // ...and accepted by the destination host
 };
 
 const char* to_string(FlightKind kind);
+
+constexpr bool is_flow_start(FlightKind kind) {
+  return kind == FlightKind::kNetSend || kind == FlightKind::kShipSend;
+}
+constexpr bool is_flow_finish(FlightKind kind) {
+  return kind == FlightKind::kNetRecv || kind == FlightKind::kShipRecv;
+}
+
+/// The compact causal context stamped onto DATA frames and ship/submit
+/// handshakes (docs/PROTOCOLS.md Section 6).  17 bytes on the wire:
+/// trace_id:u64 span_id:u64 flags:u8, big-endian, appended as an
+/// optional frame extension -- absent entirely when causal tracing is off.
+struct TraceContext {
+  static constexpr std::size_t kWireSize = 17;
+  static constexpr std::uint8_t kSampled = 0x01;
+
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
+  std::uint8_t flags = 0;
+
+  bool valid() const { return trace_id != 0; }
+
+  void encode(std::uint8_t out[kWireSize]) const;
+  static TraceContext decode(const std::uint8_t in[kWireSize]);
+};
+
+/// The thread's ambient trace context: set by the frame/ship receive
+/// paths, propagated by the send paths (a send reuses the ambient
+/// trace_id and mints a fresh span_id, so spans chain causally).
+TraceContext& current_trace_context();
+
+/// Process-unique, never-zero span/trace ids.  Seeded per process from
+/// the clock so two hosts (real ones) are unlikely to collide.
+std::uint64_t next_span_id();
+std::uint64_t new_trace_id();
+
+/// This thread's host tag, recorded on every event (truncated to the
+/// event's u16 field).  In-process "hosts" -- ComputeServers sharing one
+/// address space and so one ring registry -- tag their handler threads
+/// with a small integer; the FLIGHT_DUMP op filters by it so each
+/// simulated host exports only its own events, and the Chrome renderer
+/// maps tags to pid rows.  Tag 0 is the default ("the local host").
+void set_node_tag(std::uint32_t tag);
+std::uint32_t node_tag();
 
 /// One recorded event: 48 bytes, POD, safe to read torn (a racing slot
 /// may mix two events' fields; it can never crash a dump).
@@ -119,6 +182,7 @@ struct FlightExport {
 
 namespace detail {
 extern std::atomic<bool> g_flight_on;
+extern std::atomic<bool> g_causal_on;
 /// `ts_ns` 0 means "now": the event reads the clock itself.
 void flight_record_slow(FlightKind kind, std::string_view who,
                         std::uint64_t a, std::uint64_t b,
@@ -127,6 +191,13 @@ void flight_record_slow(FlightKind kind, std::string_view who,
 
 inline bool flight_enabled() {
   return detail::g_flight_on.load(std::memory_order_relaxed);
+}
+
+/// Whether remote sends stamp a TraceContext and record span events
+/// (set_causal_tracing).  One relaxed load: the untraced DATA path pays
+/// a predictable branch and nothing else.
+inline bool causal_tracing() {
+  return detail::g_causal_on.load(std::memory_order_relaxed);
 }
 
 /// Records one event attributed to the thread's ambient actor (see
@@ -158,6 +229,7 @@ void flight_set_actor(std::string_view name);
 #else  // DPN_FLIGHT == 0: everything inlines to nothing.
 
 inline bool flight_enabled() { return false; }
+inline bool causal_tracing() { return false; }
 inline void flight_record(FlightKind, std::uint64_t = 0, std::uint64_t = 0) {}
 inline void flight_record_at(FlightKind, std::uint64_t, std::uint64_t = 0,
                              std::uint64_t = 0) {}
@@ -171,9 +243,11 @@ inline void flight_set_actor(std::string_view) {}
 /// DPN_FLIGHT=0.
 void set_flight_enabled(bool on);
 
-/// This thread's host tag on recorded events (forwarded from
-/// obs::set_node_tag; truncated to the event's u16 field).
-void flight_set_node(std::uint16_t tag);
+/// Causal tracing on/off (default off).  While on, remote channel DATA
+/// frames, process submits and redirects carry a TraceContext and record
+/// kNetSend/kNetRecv/kShipSend/kShipRecv span events.  No-op at
+/// DPN_FLIGHT=0.
+void set_causal_tracing(bool on);
 
 /// Drops every ring's contents (testing: makes ring-wrap runs
 /// deterministic from a known-empty state).  Counters keep their
@@ -196,6 +270,15 @@ std::string flight_report(const std::vector<FlightEvent>& events,
 
 /// Just the wait-for section of flight_report (tests assert on it).
 std::string flight_wait_for(const std::vector<FlightEvent>& events);
+
+/// Chrome trace_event JSON ("traceEvents" array form; chrome://tracing,
+/// ui.perfetto.dev) of `events` (already merged / offset-aligned, any
+/// order): one instant event per flight event, timestamps relative to
+/// the earliest, flow-arrow begin/finish pairs for the span kinds, one
+/// pid row per node tag, and a "metadata" object carrying the
+/// recorded/dropped accounting.
+std::string chrome_trace_json(const std::vector<FlightEvent>& events,
+                              std::uint64_t recorded, std::uint64_t dropped);
 
 /// Writes flight_report of the current process-wide window to
 /// `<DPN_FLIGHT_DIR or .>/dpn-flight-<reason>-<pid>.txt` and returns the

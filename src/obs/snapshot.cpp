@@ -1,6 +1,5 @@
 #include "obs/snapshot.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -8,20 +7,16 @@
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 
 namespace dpn::obs {
 
 namespace {
 
+// One fixed layout, so a histogram is exactly its kBuckets counts.
 void write_histogram(io::DataOutputStream& out, const HistogramSnapshot& h) {
   out.write_varint(h.count);
   out.write_varint(h.sum_ns);
-  // Bucket count on the wire, so a future layout change (more buckets)
-  // stays decodable: a short reader folds the excess into its last
-  // bucket, a long reader leaves its tail zero.
-  out.write_varint(HistogramSnapshot::kBuckets);
   for (const std::uint64_t c : h.counts) out.write_varint(c);
 }
 
@@ -29,14 +24,28 @@ HistogramSnapshot read_histogram(io::DataInputStream& in) {
   HistogramSnapshot h;
   h.count = in.read_varint();
   h.sum_ns = in.read_varint();
-  const std::uint64_t buckets = in.read_varint();
-  for (std::uint64_t i = 0; i < buckets; ++i) {
-    const std::uint64_t c = in.read_varint();
-    const std::size_t slot = std::min<std::size_t>(
-        static_cast<std::size_t>(i), HistogramSnapshot::kBuckets - 1);
-    h.counts[slot] += c;
-  }
+  for (std::uint64_t& c : h.counts) c = in.read_varint();
   return h;
+}
+
+// Smallest encodings of one record (every varint and string length one
+// byte): what a claimed record count must leave room for before any
+// allocation is sized by it.
+constexpr std::size_t kMinHistogramBytes = 2 + HistogramSnapshot::kBuckets;
+constexpr std::size_t kMinProcessBytes = 1 + 1 + 8;
+constexpr std::size_t kMinChannelBytes =
+    8 + 1 + 5 + 15 * 8 + 2 * 4 + 2 * kMinHistogramBytes + 2 + 4;
+
+/// Reads a record count and rejects one the unread bytes cannot hold.
+std::size_t read_count(io::DataInputStream& in, const io::MemoryInputStream& src,
+                       std::size_t min_record, const char* what) {
+  const std::uint64_t n = in.read_varint();
+  if (n > src.remaining() / min_record) {
+    throw SerializationError{"malformed NetworkSnapshot: " +
+                             std::to_string(n) + " " + what + " in " +
+                             std::to_string(src.remaining()) + " bytes"};
+  }
+  return static_cast<std::size_t>(n);
 }
 
 std::string us_string(std::uint64_t ns) { return std::to_string(ns / 1000); }
@@ -62,10 +71,6 @@ void NetworkSnapshot::fill_fault_counters() {
 }
 
 void NetworkSnapshot::fill_runtime_counters() {
-  const Tracer& tracer = Tracer::instance();
-  trace_recorded = tracer.recorded();
-  trace_dropped = tracer.dropped();
-  trace_total_recorded = tracer.total_recorded();
   task_rtt = runtime_histograms().task_rtt.snapshot();
   connect_latency = runtime_histograms().connect.snapshot();
   const FlightCounters flight = flight_counters();
@@ -107,13 +112,10 @@ const ChannelSnapshot* NetworkSnapshot::smallest_write_blocked() const {
   return victim;
 }
 
-ByteVector NetworkSnapshot::encode() const { return encode_as(kVersion); }
-
-ByteVector NetworkSnapshot::encode_as(std::uint8_t want_version) const {
-  const std::uint8_t v = std::clamp<std::uint8_t>(want_version, 1, kVersion);
+ByteVector NetworkSnapshot::encode() const {
   auto sink = std::make_shared<io::MemoryOutputStream>();
   io::DataOutputStream out{sink};
-  out.write_u8(v);
+  out.write_u8(kFormat);
   out.write_u64(live);
   out.write_u8(outcome);
   out.write_u64(growth_events);
@@ -153,106 +155,64 @@ ByteVector NetworkSnapshot::encode_as(std::uint8_t want_version) const {
     out.write_u64(c.coalesced_writes);
     out.write_u64(c.write_buffered);
     out.write_u64(c.read_buffered);
+    write_histogram(out, c.read_block);
+    write_histogram(out, c.write_block);
+    out.write_bool(c.has_typed);
+    out.write_bool(c.typed_demoted);
+    out.write_varint(c.typed_pushed);
+    out.write_varint(c.typed_popped);
+    out.write_varint(c.typed_buffered);
+    out.write_varint(c.typed_capacity);
   }
 
-  // Version 2: fault counters, appended so version-1 decoders still parse
-  // their prefix of the payload.
-  if (v >= 2) {
-    out.write_u64(connect_retries);
-    out.write_u64(connect_failures);
-    out.write_u64(tasks_reissued);
-    out.write_u64(workers_lost);
-    out.write_u64(lease_expiries);
-    out.write_u64(registry_evictions);
-    out.write_u64(faults_injected);
-  }
-
-  // Version 3: trace accounting, process-wide histograms, then one
-  // read/write histogram pair per channel -- aligned by channel index,
-  // because splicing them into the per-channel records above would have
-  // broken version-1/2 prefix parsing.
-  if (v >= 3) {
-    out.write_u64(trace_recorded);
-    out.write_u64(trace_dropped);
-    write_histogram(out, task_rtt);
-    write_histogram(out, connect_latency);
-    for (const ChannelSnapshot& c : channels) {
-      write_histogram(out, c.read_block);
-      write_histogram(out, c.write_block);
-    }
-  }
-
-  // Version 4: M:N scheduler counters, appended like the rest.
-  if (v >= 4) {
-    out.write_u64(sched_workers);
-    out.write_u64(sched_spawned);
-    out.write_u64(sched_completed);
-    out.write_u64(sched_steals);
-    out.write_u64(sched_dispatches);
-    out.write_u64(sched_parks);
-  }
-
-  // Version 5: mux transport counters, appended like the rest.
-  if (v >= 5) {
-    out.write_u64(mux_connections);
-    out.write_u64(mux_streams_active);
-    out.write_u64(mux_streams_total);
-    out.write_u64(mux_credit_stalls);
-    out.write_u64(mux_credit_stall_ns);
-  }
-
-  // Version 6: per-channel typed fast-path records, aligned by channel
-  // index like the version-3 histograms.
-  if (v >= 6) {
-    for (const ChannelSnapshot& c : channels) {
-      out.write_bool(c.has_typed);
-      out.write_bool(c.typed_demoted);
-      out.write_varint(c.typed_pushed);
-      out.write_varint(c.typed_popped);
-      out.write_varint(c.typed_buffered);
-      out.write_varint(c.typed_capacity);
-    }
-  }
-
-  // Version 7: flight-recorder accounting and the run-queue wait
-  // histogram, appended like the rest.
-  if (v >= 7) {
-    out.write_u64(flight_recorded);
-    out.write_u64(flight_dropped);
-    out.write_u64(flight_dumps);
-    out.write_u64(trace_total_recorded);
-    write_histogram(out, sched_runq);
-  }
+  out.write_u64(connect_retries);
+  out.write_u64(connect_failures);
+  out.write_u64(tasks_reissued);
+  out.write_u64(workers_lost);
+  out.write_u64(lease_expiries);
+  out.write_u64(registry_evictions);
+  out.write_u64(faults_injected);
+  write_histogram(out, task_rtt);
+  write_histogram(out, connect_latency);
+  out.write_u64(sched_workers);
+  out.write_u64(sched_spawned);
+  out.write_u64(sched_completed);
+  out.write_u64(sched_steals);
+  out.write_u64(sched_dispatches);
+  out.write_u64(sched_parks);
+  out.write_u64(mux_connections);
+  out.write_u64(mux_streams_active);
+  out.write_u64(mux_streams_total);
+  out.write_u64(mux_credit_stalls);
+  out.write_u64(mux_credit_stall_ns);
+  out.write_u64(flight_recorded);
+  out.write_u64(flight_dropped);
+  out.write_u64(flight_dumps);
+  write_histogram(out, sched_runq);
   return sink->take();
 }
 
 NetworkSnapshot NetworkSnapshot::decode(ByteSpan bytes) {
-  return decode_prefix(bytes, kVersion);
-}
-
-NetworkSnapshot NetworkSnapshot::decode_prefix(ByteSpan bytes,
-                                               std::uint8_t max_version) {
-  io::DataInputStream in{std::make_shared<io::MemoryInputStream>(
-      ByteVector{bytes.begin(), bytes.end()})};
-  const std::uint8_t advertised = in.read_u8();
-  if (advertised == 0) {
-    throw SerializationError{"malformed NetworkSnapshot: version 0"};
+  const auto src = std::make_shared<io::MemoryInputStream>(
+      ByteVector{bytes.begin(), bytes.end()});
+  io::DataInputStream in{src};
+  const std::uint8_t format = in.read_u8();
+  if (format != kFormat) {
+    throw SerializationError{"NetworkSnapshot format " +
+                             std::to_string(format) + ", expected " +
+                             std::to_string(kFormat)};
   }
-  // Every version is an append-only extension of the previous one, so the
-  // decodable part is whatever both sides know about; the rest of the
-  // payload is ignored (newer writer) or left default (older writer).
-  const std::uint8_t version = std::min(advertised, max_version);
   NetworkSnapshot snapshot;
-  snapshot.version = version;
   snapshot.live = in.read_u64();
   snapshot.outcome = in.read_u8();
   snapshot.growth_events = in.read_u64();
   snapshot.remote_bytes_sent = in.read_u64();
   snapshot.remote_bytes_received = in.read_u64();
 
-  const std::uint64_t n_processes = in.read_varint();
+  const std::size_t n_processes =
+      read_count(in, *src, kMinProcessBytes, "processes");
   snapshot.processes.reserve(n_processes);
-  for (std::uint64_t i = 0; i < n_processes; ++i) {
+  for (std::size_t i = 0; i < n_processes; ++i) {
     ProcessSnapshot p;
     p.name = in.read_string();
     p.state = static_cast<ProcessState>(in.read_u8());
@@ -260,9 +220,10 @@ NetworkSnapshot NetworkSnapshot::decode_prefix(ByteSpan bytes,
     snapshot.processes.push_back(std::move(p));
   }
 
-  const std::uint64_t n_channels = in.read_varint();
+  const std::size_t n_channels =
+      read_count(in, *src, kMinChannelBytes, "channels");
   snapshot.channels.reserve(n_channels);
-  for (std::uint64_t i = 0; i < n_channels; ++i) {
+  for (std::size_t i = 0; i < n_channels; ++i) {
     ChannelSnapshot c;
     c.id = in.read_u64();
     c.label = in.read_string();
@@ -288,65 +249,45 @@ NetworkSnapshot NetworkSnapshot::decode_prefix(ByteSpan bytes,
     c.coalesced_writes = in.read_u64();
     c.write_buffered = in.read_u64();
     c.read_buffered = in.read_u64();
+    c.read_block = read_histogram(in);
+    c.write_block = read_histogram(in);
+    c.has_typed = in.read_bool();
+    c.typed_demoted = in.read_bool();
+    c.typed_pushed = in.read_varint();
+    c.typed_popped = in.read_varint();
+    c.typed_buffered = in.read_varint();
+    c.typed_capacity = in.read_varint();
     snapshot.channels.push_back(std::move(c));
   }
 
-  if (version >= 2) {
-    snapshot.connect_retries = in.read_u64();
-    snapshot.connect_failures = in.read_u64();
-    snapshot.tasks_reissued = in.read_u64();
-    snapshot.workers_lost = in.read_u64();
-    snapshot.lease_expiries = in.read_u64();
-    snapshot.registry_evictions = in.read_u64();
-    snapshot.faults_injected = in.read_u64();
-  }
-  if (version >= 3) {
-    snapshot.trace_recorded = in.read_u64();
-    snapshot.trace_dropped = in.read_u64();
-    snapshot.task_rtt = read_histogram(in);
-    snapshot.connect_latency = read_histogram(in);
-    for (ChannelSnapshot& c : snapshot.channels) {
-      c.read_block = read_histogram(in);
-      c.write_block = read_histogram(in);
-    }
-  }
-  if (version >= 4) {
-    snapshot.sched_workers = in.read_u64();
-    snapshot.sched_spawned = in.read_u64();
-    snapshot.sched_completed = in.read_u64();
-    snapshot.sched_steals = in.read_u64();
-    snapshot.sched_dispatches = in.read_u64();
-    snapshot.sched_parks = in.read_u64();
-  }
-  if (version >= 5) {
-    snapshot.mux_connections = in.read_u64();
-    snapshot.mux_streams_active = in.read_u64();
-    snapshot.mux_streams_total = in.read_u64();
-    snapshot.mux_credit_stalls = in.read_u64();
-    snapshot.mux_credit_stall_ns = in.read_u64();
-  }
-  if (version >= 6) {
-    for (ChannelSnapshot& c : snapshot.channels) {
-      c.has_typed = in.read_bool();
-      c.typed_demoted = in.read_bool();
-      c.typed_pushed = in.read_varint();
-      c.typed_popped = in.read_varint();
-      c.typed_buffered = in.read_varint();
-      c.typed_capacity = in.read_varint();
-    }
-  }
-  if (version >= 7) {
-    snapshot.flight_recorded = in.read_u64();
-    snapshot.flight_dropped = in.read_u64();
-    snapshot.flight_dumps = in.read_u64();
-    snapshot.trace_total_recorded = in.read_u64();
-    snapshot.sched_runq = read_histogram(in);
-  }
+  snapshot.connect_retries = in.read_u64();
+  snapshot.connect_failures = in.read_u64();
+  snapshot.tasks_reissued = in.read_u64();
+  snapshot.workers_lost = in.read_u64();
+  snapshot.lease_expiries = in.read_u64();
+  snapshot.registry_evictions = in.read_u64();
+  snapshot.faults_injected = in.read_u64();
+  snapshot.task_rtt = read_histogram(in);
+  snapshot.connect_latency = read_histogram(in);
+  snapshot.sched_workers = in.read_u64();
+  snapshot.sched_spawned = in.read_u64();
+  snapshot.sched_completed = in.read_u64();
+  snapshot.sched_steals = in.read_u64();
+  snapshot.sched_dispatches = in.read_u64();
+  snapshot.sched_parks = in.read_u64();
+  snapshot.mux_connections = in.read_u64();
+  snapshot.mux_streams_active = in.read_u64();
+  snapshot.mux_streams_total = in.read_u64();
+  snapshot.mux_credit_stalls = in.read_u64();
+  snapshot.mux_credit_stall_ns = in.read_u64();
+  snapshot.flight_recorded = in.read_u64();
+  snapshot.flight_dropped = in.read_u64();
+  snapshot.flight_dumps = in.read_u64();
+  snapshot.sched_runq = read_histogram(in);
   return snapshot;
 }
 
 void NetworkSnapshot::merge_from(NetworkSnapshot&& other) {
-  version = std::min(version, other.version);
   live += other.live;
   growth_events += other.growth_events;
   remote_bytes_sent += other.remote_bytes_sent;
@@ -358,8 +299,6 @@ void NetworkSnapshot::merge_from(NetworkSnapshot&& other) {
   lease_expiries += other.lease_expiries;
   registry_evictions += other.registry_evictions;
   faults_injected += other.faults_injected;
-  trace_recorded += other.trace_recorded;
-  trace_dropped += other.trace_dropped;
   sched_workers += other.sched_workers;
   sched_spawned += other.sched_spawned;
   sched_completed += other.sched_completed;
@@ -374,7 +313,6 @@ void NetworkSnapshot::merge_from(NetworkSnapshot&& other) {
   flight_recorded += other.flight_recorded;
   flight_dropped += other.flight_dropped;
   flight_dumps += other.flight_dumps;
-  trace_total_recorded += other.trace_total_recorded;
   task_rtt.merge(other.task_rtt);
   connect_latency.merge(other.connect_latency);
   sched_runq.merge(other.sched_runq);
@@ -396,11 +334,6 @@ std::string NetworkSnapshot::to_string() const {
            " lease_expiries=" + std::to_string(lease_expiries) +
            " evictions=" + std::to_string(registry_evictions) +
            " injected=" + std::to_string(faults_injected) + "\n";
-  }
-  if (trace_recorded > 0) {
-    out += "trace: recorded=" + std::to_string(trace_recorded) +
-           " dropped=" + std::to_string(trace_dropped) +
-           " lifetime=" + std::to_string(trace_total_recorded) + "\n";
   }
   if (flight_recorded > 0 || flight_dumps > 0) {
     out += "flight: recorded=" + std::to_string(flight_recorded) +

@@ -1,7 +1,5 @@
 #include "par/generic.hpp"
 
-#include "obs/trace.hpp"
-
 namespace dpn::par {
 
 void write_task(io::DataOutputStream& out,
@@ -32,7 +30,6 @@ Producer::Producer(std::shared_ptr<Task> task,
 void Producer::step() {
   auto next = task_->run();
   if (!next) throw EndOfStream{"producer task exhausted"};
-  DPN_TRACE_EVENT(obs::TraceKind::kTaskDispatch, next->type_name());
   io::DataOutputStream out{output(0)};
   write_task(out, next);
 }
@@ -62,7 +59,6 @@ void Worker::step() {
   auto task = read_task(in);
   if (!task) throw SerializationError{"worker received a null task"};
   auto result = task->run();
-  DPN_TRACE_EVENT(obs::TraceKind::kTaskComplete, task->type_name());
   io::DataOutputStream out{output(0)};
   write_task(out, result);
 }

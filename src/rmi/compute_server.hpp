@@ -21,7 +21,6 @@
 #include "net/transport.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "rmi/registry.hpp"
 
 /// The generic compute server of paper Section 4.1 and its client stub.
@@ -66,8 +65,8 @@ class ComputeServer {
   std::uint16_t port() const { return listener_->port(); }
   const std::shared_ptr<dist::NodeContext>& node() const { return node_; }
 
-  /// This server's trace node tag: every handler thread (and therefore
-  /// every hosted process it runs) records trace events under it, so
+  /// This server's node tag: every handler thread (and therefore every
+  /// hosted process it runs) records flight events under it, so
   /// in-process simulated hosts stay distinguishable in a merged trace.
   std::uint32_t trace_tag() const { return trace_tag_; }
 
@@ -245,19 +244,16 @@ class ServerHandle {
   StatsStream stats_stream(std::chrono::milliseconds interval,
                            std::uint32_t count = 0);
 
-  /// Fetches the server's trace ring (only its own node tag's events)
-  /// plus the clock facts needed to merge it: fleet_trace's per-peer
-  /// ingredient.
-  obs::TraceExport trace_export();
-
   /// Fetches the server's flight-recorder window (only its own node
-  /// tag's events): fleet_dump's per-peer ingredient (FLIGHT_DUMP op).
+  /// tag's events): fleet_dump's and fleet_trace's per-peer ingredient
+  /// (FLIGHT_DUMP op).
   obs::FlightExport flight_export();
 
   /// One clock probe (Cristian's algorithm): the estimated offset of the
   /// server's steady clock relative to ours (server_now minus the
   /// request's local midpoint, ns) paired with the probe's round-trip
-  /// time.  fleet_trace repeats this and keeps the minimum-RTT sample --
+  /// time.  fleet_dump/fleet_trace repeat this and keep the minimum-RTT
+  /// sample --
   /// the tightest bound on the offset.
   std::pair<std::int64_t, std::uint64_t> probe_clock();
 
@@ -288,24 +284,22 @@ class ServerHandle {
 /// Merged snapshot across several servers: processes and channels are
 /// concatenated, counters summed, histograms merged.  The fleet-wide
 /// view of paper Section 6.2's global state, assembled from per-node
-/// STATS replies.  Mixed-revision fleets degrade gracefully: each
-/// peer's snapshot version is logged and its decodable prefix merged;
-/// the result's `version` is the fleet's common denominator.
+/// STATS replies.
 obs::NetworkSnapshot fleet_stats(std::vector<ServerHandle>& servers);
 
 /// Merged causal trace across the local host (node tag 0) and several
-/// servers, as one Chrome trace_event JSON: per-host pid rows, flow
-/// arrows for spans that crossed hosts, and recorded/dropped accounting
-/// in the metadata block.  Per-peer clock offsets are estimated with
-/// repeated minimum-RTT probes (probe_clock) so the per-host ring
-/// buffers land on one timeline.  Call at quiescence (tracing disabled
-/// or the graph drained), like Tracer::drain.
+/// servers, as one Chrome trace_event JSON (obs::chrome_trace_json):
+/// every host's flight-recorder window pulled over the FLIGHT_DUMP op
+/// and aligned onto one timeline with repeated minimum-RTT clock probes
+/// (probe_clock); per-host pid rows, flow arrows for spans that crossed
+/// hosts (obs::set_causal_tracing), and recorded/dropped accounting in
+/// the metadata block.  Call at quiescence (the graph drained): rings
+/// wrap, and a busy ring keeps only its most recent window.
 std::string fleet_trace(std::vector<ServerHandle>& servers);
 
 /// Merged post-mortem across the local host (node tag 0) and several
-/// servers: every host's recent flight-recorder window pulled over the
-/// FLIGHT_DUMP op, aligned onto one timeline with the same minimum-RTT
-/// clock probes fleet_trace uses, and rendered by obs::flight_report --
+/// servers: the same gathered, clock-aligned window as fleet_trace,
+/// rendered by obs::flight_report --
 /// a causally ordered event timeline followed by the wait-for analysis
 /// (and, for deadlocks, the exact blocking cycle).  Best called right
 /// after the fault: rings wrap, and the interesting window is the most

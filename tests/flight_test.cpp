@@ -23,7 +23,6 @@
 #include "net/socket.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "rmi/compute_server.hpp"
 #include "support/error.hpp"
 
@@ -383,7 +382,7 @@ TEST(FleetDump, MergesHostsAndRendersReport) {
   b.stop();
 }
 
-// --- Snapshot v7 compat matrix ----------------------------------------------
+// --- Snapshot flight plane --------------------------------------------------
 
 obs::NetworkSnapshot sample_snapshot() {
   obs::NetworkSnapshot sample;
@@ -391,98 +390,24 @@ obs::NetworkSnapshot sample_snapshot() {
   sample.growth_events = 1;
   sample.remote_bytes_sent = 11;
   sample.remote_bytes_received = 13;
-  sample.connect_retries = 3;       // v3 plane
-  sample.mux_connections = 2;       // v5 plane
-  sample.flight_recorded = 77;      // v7 plane
+  sample.connect_retries = 3;
+  sample.mux_connections = 2;
+  sample.flight_recorded = 77;
   sample.flight_dropped = 5;
   sample.flight_dumps = 1;
-  sample.trace_total_recorded = 123;
   sample.sched_runq.counts[3] = 4;
   sample.sched_runq.count = 4;
   sample.sched_runq.sum_ns = 1000000;
   return sample;
 }
 
-TEST(SnapshotV7, CompatMatrixBothDirections) {
-  const obs::NetworkSnapshot sample = sample_snapshot();
-  for (std::uint8_t writer = 1; writer <= obs::NetworkSnapshot::kVersion;
-       ++writer) {
-    const ByteVector bytes = sample.encode_as(writer);
-    for (std::uint8_t reader = 1; reader <= obs::NetworkSnapshot::kVersion;
-         ++reader) {
-      SCOPED_TRACE("writer v" + std::to_string(writer) + " reader v" +
-                   std::to_string(reader));
-      const obs::NetworkSnapshot decoded = obs::NetworkSnapshot::decode_prefix(
-          {bytes.data(), bytes.size()}, reader);
-      const std::uint8_t common = std::min(writer, reader);
-      EXPECT_EQ(decoded.version, common);
-      // v1 plane always survives.
-      EXPECT_EQ(decoded.live, sample.live);
-      EXPECT_EQ(decoded.growth_events, sample.growth_events);
-      // v7 plane survives exactly when both sides speak it.
-      if (common >= 7) {
-        EXPECT_EQ(decoded.flight_recorded, sample.flight_recorded);
-        EXPECT_EQ(decoded.flight_dropped, sample.flight_dropped);
-        EXPECT_EQ(decoded.flight_dumps, sample.flight_dumps);
-        EXPECT_EQ(decoded.trace_total_recorded, sample.trace_total_recorded);
-        EXPECT_EQ(decoded.sched_runq.count, sample.sched_runq.count);
-        EXPECT_EQ(decoded.sched_runq.sum_ns, sample.sched_runq.sum_ns);
-      } else {
-        EXPECT_EQ(decoded.flight_recorded, 0u);
-        EXPECT_EQ(decoded.flight_dropped, 0u);
-        EXPECT_EQ(decoded.flight_dumps, 0u);
-        EXPECT_EQ(decoded.trace_total_recorded, 0u);
-        EXPECT_TRUE(decoded.sched_runq.empty());
-      }
-    }
-  }
-}
-
-TEST(SnapshotV7, MixedVersionMergeDegradesToCommonDenominator) {
-  obs::NetworkSnapshot merged = sample_snapshot();
-  const ByteVector old_wire = sample_snapshot().encode_as(3);
-  obs::NetworkSnapshot old_peer = obs::NetworkSnapshot::decode_prefix(
-      {old_wire.data(), old_wire.size()}, obs::NetworkSnapshot::kVersion);
-  ASSERT_EQ(old_peer.version, 3);
-
-  merged.merge_from(std::move(old_peer));
-  EXPECT_EQ(merged.version, 3);  // fleet speaks the oldest dialect
-  EXPECT_EQ(merged.live, 4u);    // v1 counters still sum
-  // The v3 peer contributed nothing to the v7 plane; ours is kept.
-  EXPECT_EQ(merged.flight_recorded, 77u);
-  EXPECT_EQ(merged.sched_runq.count, 4u);
-}
-
 TEST(SnapshotV7, SameVersionMergeSumsFlightPlane) {
   obs::NetworkSnapshot merged = sample_snapshot();
   merged.merge_from(sample_snapshot());
-  EXPECT_EQ(merged.version, obs::NetworkSnapshot::kVersion);
   EXPECT_EQ(merged.flight_recorded, 154u);
   EXPECT_EQ(merged.flight_dropped, 10u);
   EXPECT_EQ(merged.flight_dumps, 2u);
-  EXPECT_EQ(merged.trace_total_recorded, 246u);
   EXPECT_EQ(merged.sched_runq.count, 8u);
-}
-
-// --- Tracer lifetime counter ------------------------------------------------
-
-TEST(TracerCounter, TotalRecordedIsMonotonicAcrossEnableCycles) {
-  auto& tracer = obs::Tracer::instance();
-  const std::uint64_t start = tracer.total_recorded();
-
-  tracer.enable(256);
-  tracer.record(obs::TraceKind::kMonitorDeadlock, "x");
-  tracer.record(obs::TraceKind::kMonitorDeadlock, "y");
-  tracer.disable();
-  EXPECT_EQ(tracer.total_recorded(), start + 2);
-
-  tracer.enable(256);
-  // A fresh epoch resets recorded() but never the lifetime total.
-  EXPECT_EQ(tracer.recorded(), 0u);
-  EXPECT_EQ(tracer.total_recorded(), start + 2);
-  tracer.record(obs::TraceKind::kMonitorDeadlock, "z");
-  tracer.disable();
-  EXPECT_EQ(tracer.total_recorded(), start + 3);
 }
 
 }  // namespace

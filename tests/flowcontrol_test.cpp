@@ -67,7 +67,21 @@ TEST(FlowControl, WriterBlocksOnExhaustedWindow) {
     } catch (const IoError&) {
     }
   }};
-  std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  // Wait (bounded) for the producer to be blocked on the remote window
+  // with no progress over a whole poll, rather than sleeping a fixed
+  // interval: a producer thread that starts late must not be mistaken
+  // for a wedged one, nor a wedge for a producer that has not started.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  for (long seen = -1; std::chrono::steady_clock::now() < deadline;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{20});
+    const long now = written.load();
+    if (now == seen &&
+        node_a->traffic()->blocked_remote_writers.load() > 0) {
+      break;
+    }
+    seen = now;
+  }
   const long after_stall = written.load();
   EXPECT_LT(after_stall, 100000);  // did not run away
   std::this_thread::sleep_for(std::chrono::milliseconds{20});

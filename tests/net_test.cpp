@@ -99,17 +99,18 @@ TEST(Socket, EphemeralPortAssigned) {
 }
 
 TEST(SocketStreams, StreamOverSocket) {
-  ServerSocket server{0};
+  // The io stream stack over a transport stream (one mux stream on a
+  // loopback socket), half-closes included.
+  auto listener = default_transport().listen(0);
   std::jthread echo{[&] {
-    auto peer = std::make_shared<Socket>(server.accept());
-    SocketInputStream in{peer};
-    SocketOutputStream out{peer};
+    auto peer = listener->accept();
+    StreamInput in{peer};
+    StreamOutput out{peer};
     io::pump(in, out);
   }};
-  auto client =
-      std::make_shared<Socket>(Socket::connect("127.0.0.1", server.port()));
-  SocketOutputStream out{client};
-  SocketInputStream in{client};
+  auto client = default_transport().dial("127.0.0.1", listener->port());
+  StreamOutput out{client};
+  StreamInput in{client};
   const std::string message = "through the stream stack";
   out.write(as_bytes(message));
   out.close();  // half-close ends the echo pump
@@ -546,18 +547,36 @@ TEST(MuxHostile, OpenWindowAtTheCapIsAccepted) {
   listener->close();
 }
 
+TEST(MuxHostile, RetiredDataTracedTypeKillsTheConnection) {
+  // Mux frame type 2 (DATA_TRACED) is retired: a remote channel's
+  // context rides its own DATA_TRACED frame, one layer up.  A type-2
+  // frame on a live stream is now an unknown type and ends the
+  // connection instead of delivering bytes.
+  auto listener = default_transport().listen(0);
+  Socket raw = open_raw_stream(*listener, 1024);
+  auto stream = listener->accept();
+  ASSERT_TRUE(stream != nullptr);
+  std::uint8_t frame[9 + 17 + 4] = {};
+  put_u32(frame, 1);  // stream id
+  frame[4] = 2;       // the retired DATA_TRACED
+  put_u32(frame + 5, 17 + 4);
+  put_u64(frame + 9, 7);  // a well-formed context: trace id 7
+  raw.write_all({frame, sizeof frame});
+  EXPECT_TRUE(dropped_within(raw, std::chrono::seconds{10}));
+  std::uint8_t byte = 0;
+  EXPECT_THROW(stream->read_some({&byte, 1}), NetError);
+}
+
 TEST(Frames, OverSocketEndToEnd) {
-  ServerSocket server{0};
+  auto listener = default_transport().listen(0);
   std::jthread producer{[&] {
-    auto peer = std::make_shared<Socket>(server.accept());
-    FrameWriter writer{std::make_shared<SocketOutputStream>(peer)};
+    FrameWriter writer{std::make_shared<StreamOutput>(listener->accept())};
     writer.write_data(as_bytes(std::string{"one"}));
     writer.write_data(as_bytes(std::string{"two"}));
     writer.write_fin();
   }};
-  auto client =
-      std::make_shared<Socket>(Socket::connect("127.0.0.1", server.port()));
-  FrameReader reader{std::make_shared<SocketInputStream>(client)};
+  FrameReader reader{std::make_shared<StreamInput>(
+      default_transport().dial("127.0.0.1", listener->port()))};
   EXPECT_EQ(dpn::to_string(ByteSpan{reader.read_frame().payload.data(), 3}), "one");
   EXPECT_EQ(dpn::to_string(ByteSpan{reader.read_frame().payload.data(), 3}), "two");
   EXPECT_EQ(reader.read_frame().type, FrameType::kFin);

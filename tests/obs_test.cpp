@@ -13,9 +13,9 @@
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "net/frames.hpp"
+#include "obs/flight.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "par/schema.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
@@ -267,68 +267,6 @@ TEST(Snapshot, GrowthIsRefusedOnStaleStallEvidence) {
   EXPECT_EQ(network.snapshot().channels[0].capacity, 32u);
 }
 
-// --- Tracer -----------------------------------------------------------------
-
-TEST(Tracer, RingKeepsNewestOnWraparound) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable(8);
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    tracer.record(TraceKind::kTaskDispatch, "wrap", i);
-  }
-  tracer.disable();
-
-  EXPECT_EQ(tracer.recorded(), 20u);
-  EXPECT_EQ(tracer.capacity(), 8u);
-  const std::vector<TraceEvent> events = tracer.drain();
-  ASSERT_EQ(events.size(), 8u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].arg0, 12 + i);  // oldest survivor first
-    EXPECT_STREQ(events[i].name, "wrap");
-  }
-
-  const std::string json = tracer.chrome_trace_json();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("par.dispatch"), std::string::npos);
-  EXPECT_NE(json.find("\"label\":\"wrap\""), std::string::npos);
-}
-
-TEST(Tracer, DisabledRecordsNothing) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable(8);
-  tracer.record(TraceKind::kChannelWrite, "live", 1);
-  tracer.disable();
-  tracer.record(TraceKind::kChannelWrite, "dead", 2);
-  EXPECT_EQ(tracer.recorded(), 1u);
-  EXPECT_FALSE(trace_enabled());
-}
-
-TEST(Tracer, ChannelOperationsLandInTheRing) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable(64);
-  {
-    Channel channel{ChannelOptions{.capacity = 64, .label = "traced"}};
-    io::DataOutputStream out{channel.output()};
-    io::DataInputStream in{channel.input()};
-    out.write_i64(5);
-    EXPECT_EQ(in.read_i64(), 5);
-    channel.output()->close();
-  }
-  tracer.disable();
-
-  bool saw_write = false;
-  bool saw_read = false;
-  bool saw_close = false;
-  for (const TraceEvent& event : tracer.drain()) {
-    if (std::string_view{event.name} != "traced") continue;
-    saw_write |= event.kind == TraceKind::kChannelWrite;
-    saw_read |= event.kind == TraceKind::kChannelRead;
-    saw_close |= event.kind == TraceKind::kChannelClose;
-  }
-  EXPECT_TRUE(saw_write);
-  EXPECT_TRUE(saw_read);
-  EXPECT_TRUE(saw_close);
-}
-
 // --- STATS over the wire ----------------------------------------------------
 
 TEST(Stats, RemoteRoundTripSeesHostedGraph) {
@@ -462,7 +400,7 @@ TEST(Histogram, PipeRecordsWaitDistributionUnderBackpressure) {
   EXPECT_GT(snap.write_block.p95_ns(), 0u);
 }
 
-// --- NetworkSnapshot v3 + version compat matrix -----------------------------
+// --- NetworkSnapshot: one layout, one format byte ---------------------------
 
 NetworkSnapshot make_v3_sample() {
   NetworkSnapshot snap;
@@ -470,21 +408,21 @@ NetworkSnapshot make_v3_sample() {
   snap.growth_events = 4;
   snap.connect_retries = 2;
   snap.faults_injected = 6;
-  snap.trace_recorded = 1000;
-  snap.trace_dropped = 24;
+  snap.flight_recorded = 1000;
+  snap.flight_dropped = 24;
   for (int i = 0; i < 50; ++i) snap.task_rtt.counts[3] += 1;
   snap.task_rtt.count = 50;
   snap.task_rtt.sum_ns = 300000;
   snap.connect_latency.counts[11] = 7;
   snap.connect_latency.count = 7;
   snap.connect_latency.sum_ns = 7'000'000;
-  snap.sched_workers = 2;       // v4 fields
+  snap.sched_workers = 2;
   snap.sched_spawned = 40;
   snap.sched_completed = 40;
   snap.sched_steals = 11;
   snap.sched_dispatches = 95;
   snap.sched_parks = 3;
-  snap.mux_connections = 3;     // v5 fields
+  snap.mux_connections = 3;
   snap.mux_streams_active = 128;
   snap.mux_streams_total = 500;
   snap.mux_credit_stalls = 17;
@@ -509,9 +447,8 @@ TEST(SnapshotV3, TraceCountersAndHistogramsRoundTrip) {
   const ByteVector bytes = snap.encode();
   const NetworkSnapshot copy =
       NetworkSnapshot::decode({bytes.data(), bytes.size()});
-  EXPECT_EQ(copy.version, NetworkSnapshot::kVersion);
-  EXPECT_EQ(copy.trace_recorded, 1000u);
-  EXPECT_EQ(copy.trace_dropped, 24u);
+  EXPECT_EQ(copy.flight_recorded, 1000u);
+  EXPECT_EQ(copy.flight_dropped, 24u);
   EXPECT_EQ(copy.task_rtt.count, 50u);
   EXPECT_EQ(copy.task_rtt.counts[3], 50u);
   EXPECT_EQ(copy.task_rtt.sum_ns, 300000u);
@@ -520,11 +457,11 @@ TEST(SnapshotV3, TraceCountersAndHistogramsRoundTrip) {
   EXPECT_EQ(copy.channels[0].write_block.count, 3u);
   EXPECT_EQ(copy.channels[0].write_block.counts[4], 3u);
   EXPECT_EQ(copy.channels[0].read_block.count, 1u);
-  // v4 scheduler counters round-trip too.
+  // Scheduler counters round-trip too.
   EXPECT_EQ(copy.sched_workers, 2u);
   EXPECT_EQ(copy.sched_steals, 11u);
   EXPECT_EQ(copy.sched_dispatches, 95u);
-  // ...and the v5 mux transport counters.
+  // ...and the mux transport counters.
   EXPECT_EQ(copy.mux_connections, 3u);
   EXPECT_EQ(copy.mux_streams_active, 128u);
   EXPECT_EQ(copy.mux_streams_total, 500u);
@@ -532,140 +469,56 @@ TEST(SnapshotV3, TraceCountersAndHistogramsRoundTrip) {
   EXPECT_EQ(copy.mux_credit_stall_ns, 9'000'000u);
   // The rendering includes the new percentile lines.
   EXPECT_NE(copy.to_string().find("task rtt"), std::string::npos);
-  EXPECT_NE(copy.to_string().find("trace: recorded=1000"), std::string::npos);
+  EXPECT_NE(copy.to_string().find("flight: recorded=1000"), std::string::npos);
   EXPECT_NE(copy.to_string().find("sched: workers=2"), std::string::npos);
   EXPECT_NE(copy.to_string().find("mux: connections=3"), std::string::npos);
 }
 
-TEST(SnapshotCompat, V3ReaderAcceptsOldWriters) {
-  const NetworkSnapshot snap = make_v3_sample();
-  // A v1 writer never wrote fault counters or histograms.
-  const ByteVector v1 = snap.encode_as(1);
-  const NetworkSnapshot from_v1 =
-      NetworkSnapshot::decode({v1.data(), v1.size()});
-  EXPECT_EQ(from_v1.version, 1);
-  EXPECT_EQ(from_v1.live, 1u);
-  EXPECT_EQ(from_v1.connect_retries, 0u);   // v2 field: default
-  EXPECT_EQ(from_v1.trace_recorded, 0u);    // v3 field: default
-  EXPECT_TRUE(from_v1.task_rtt.empty());
-  ASSERT_EQ(from_v1.channels.size(), 1u);
-  EXPECT_EQ(from_v1.channels[0].blocked_write_ns, 12345u);
-  EXPECT_TRUE(from_v1.channels[0].write_block.empty());
-
-  const ByteVector v2 = snap.encode_as(2);
-  const NetworkSnapshot from_v2 =
-      NetworkSnapshot::decode({v2.data(), v2.size()});
-  EXPECT_EQ(from_v2.version, 2);
-  EXPECT_EQ(from_v2.connect_retries, 2u);   // v2 field present
-  EXPECT_EQ(from_v2.faults_injected, 6u);
-  EXPECT_EQ(from_v2.trace_recorded, 0u);    // v3 field still default
-
-  const ByteVector v3 = snap.encode_as(3);
-  const NetworkSnapshot from_v3 =
-      NetworkSnapshot::decode({v3.data(), v3.size()});
-  EXPECT_EQ(from_v3.version, 3);
-  EXPECT_EQ(from_v3.trace_recorded, 1000u);  // v3 field present
-  EXPECT_EQ(from_v3.sched_workers, 0u);      // v4 field: default
-  EXPECT_EQ(from_v3.sched_steals, 0u);
-
-  const ByteVector v4 = snap.encode_as(4);
-  const NetworkSnapshot from_v4 =
-      NetworkSnapshot::decode({v4.data(), v4.size()});
-  EXPECT_EQ(from_v4.version, 4);
-  EXPECT_EQ(from_v4.sched_steals, 11u);      // v4 field present
-  EXPECT_EQ(from_v4.mux_connections, 0u);    // v5 field: default
-  EXPECT_EQ(from_v4.mux_credit_stalls, 0u);
+TEST(SnapshotFormat, ForeignFormatByteIsRejected) {
+  // One layout, so a payload that does not start with this build's format
+  // byte -- an older append-only version, a future one, or garbage -- is
+  // refused loudly instead of being half-parsed.
+  const ByteVector good = make_v3_sample().encode();
+  const std::uint8_t ours = good[0];
+  for (const std::uint8_t foreign :
+       {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{7},
+        static_cast<std::uint8_t>(ours + 1), std::uint8_t{0xFF}}) {
+    if (foreign == ours) continue;
+    ByteVector bytes = good;
+    bytes[0] = foreign;
+    EXPECT_THROW(NetworkSnapshot::decode({bytes.data(), bytes.size()}),
+                 SerializationError)
+        << "format byte " << static_cast<unsigned>(foreign);
+  }
+  EXPECT_NO_THROW(NetworkSnapshot::decode({good.data(), good.size()}));
 }
 
-TEST(SnapshotCompat, OldReaderAcceptsV3Writer) {
-  const NetworkSnapshot snap = make_v3_sample();
-  const ByteVector v3 = snap.encode();
-  // A v1-era reader stops after the fields it knows; the trailing v2+v3
-  // bytes are ignored, not an error.
-  const NetworkSnapshot v1_view =
-      NetworkSnapshot::decode_prefix({v3.data(), v3.size()}, 1);
-  EXPECT_EQ(v1_view.version, 1);
-  EXPECT_EQ(v1_view.live, 1u);
-  EXPECT_EQ(v1_view.growth_events, 4u);
-  EXPECT_EQ(v1_view.connect_retries, 0u);
-  EXPECT_TRUE(v1_view.task_rtt.empty());
-  ASSERT_EQ(v1_view.channels.size(), 1u);
-  EXPECT_EQ(v1_view.channels[0].label, "v3");
-
-  const NetworkSnapshot v2_view =
-      NetworkSnapshot::decode_prefix({v3.data(), v3.size()}, 2);
-  EXPECT_EQ(v2_view.version, 2);
-  EXPECT_EQ(v2_view.connect_retries, 2u);
-  EXPECT_EQ(v2_view.trace_recorded, 0u);
-
-  const NetworkSnapshot v3_view =
-      NetworkSnapshot::decode_prefix({v3.data(), v3.size()}, 3);
-  EXPECT_EQ(v3_view.version, 3);
-  EXPECT_EQ(v3_view.trace_recorded, 1000u);
-  EXPECT_EQ(v3_view.sched_workers, 0u);  // v4 tail ignored by a v3 reader
-
-  const NetworkSnapshot v4_view =
-      NetworkSnapshot::decode_prefix({v3.data(), v3.size()}, 4);
-  EXPECT_EQ(v4_view.version, 4);
-  EXPECT_EQ(v4_view.sched_steals, 11u);
-  EXPECT_EQ(v4_view.mux_connections, 0u);  // v5 tail ignored by a v4 reader
-}
-
-// The v1 x v5 corners of the compat matrix, explicitly: the oldest
-// deployed reader against today's writer and vice versa.
-TEST(SnapshotCompat, V1ReaderAcceptsV5Writer) {
-  const NetworkSnapshot snap = make_v3_sample();
-  const ByteVector v5 = snap.encode();  // kVersion == 5
-  const NetworkSnapshot v1_view =
-      NetworkSnapshot::decode_prefix({v5.data(), v5.size()}, 1);
-  EXPECT_EQ(v1_view.version, 1);
-  EXPECT_EQ(v1_view.live, 1u);
-  ASSERT_EQ(v1_view.channels.size(), 1u);
-  EXPECT_EQ(v1_view.channels[0].label, "v3");
-  EXPECT_EQ(v1_view.mux_connections, 0u);  // v5 tail invisible to v1
-}
-
-TEST(SnapshotCompat, V5ReaderAcceptsV1Writer) {
-  const NetworkSnapshot snap = make_v3_sample();
-  const ByteVector v1 = snap.encode_as(1);
-  const NetworkSnapshot from_v1 =
-      NetworkSnapshot::decode({v1.data(), v1.size()});
-  EXPECT_EQ(from_v1.version, 1);
-  EXPECT_EQ(from_v1.live, 1u);
-  EXPECT_EQ(from_v1.mux_connections, 0u);     // never written: default
-  EXPECT_EQ(from_v1.mux_credit_stall_ns, 0u);
-}
-
-TEST(SnapshotCompat, FutureVersionDegradesToKnownPrefix) {
-  // Synthesize a future payload: today's bytes, a bumped version byte,
-  // and trailing fields this build has never heard of.  The append-only
-  // rule says we must parse our prefix and ignore the rest.
-  const NetworkSnapshot snap = make_v3_sample();
-  ByteVector bytes = snap.encode();
-  bytes[0] = NetworkSnapshot::kVersion + 1;
-  for (int i = 0; i < 13; ++i) bytes.push_back(0xEE);
-  const NetworkSnapshot copy =
-      NetworkSnapshot::decode({bytes.data(), bytes.size()});
-  EXPECT_EQ(copy.version, NetworkSnapshot::kVersion);
-  EXPECT_EQ(copy.trace_recorded, 1000u);
-  EXPECT_EQ(copy.task_rtt.count, 50u);
-  EXPECT_EQ(copy.sched_steals, 11u);       // v4 prefix parsed before the tail
-  EXPECT_EQ(copy.mux_connections, 3u);     // v5 prefix too
-  ASSERT_EQ(copy.channels.size(), 1u);
-  EXPECT_EQ(copy.channels[0].write_block.count, 3u);
-}
-
-TEST(SnapshotCompat, MergeTakesCommonDenominatorVersion) {
-  NetworkSnapshot fleet = make_v3_sample();
-  const ByteVector v1 = make_v3_sample().encode_as(1);
-  NetworkSnapshot old_peer = NetworkSnapshot::decode({v1.data(), v1.size()});
-  fleet.merge_from(std::move(old_peer));
-  EXPECT_EQ(fleet.version, 1);          // fleet degrades to the oldest peer
-  EXPECT_EQ(fleet.live, 2u);            // counters still sum
-  EXPECT_EQ(fleet.trace_recorded, 1000u);  // v3 side kept its own data
-  EXPECT_EQ(fleet.sched_steals, 11u);      // v4 side kept its own data too
-  EXPECT_EQ(fleet.mux_connections, 3u);    // and the v5 side
-  EXPECT_EQ(fleet.channels.size(), 2u);
+TEST(SnapshotFormat, HostileCountIsTypedErrorNotAllocation) {
+  // A STATS payload straight off the wire: the format byte, a zeroed
+  // 33-byte header, then a process count of 2^62 as a varint.  The count
+  // cannot fit in the 0 bytes that follow, so decode must say so with a
+  // SerializationError -- not reserve() 2^62 records (std::length_error
+  // or an OOM).
+  const std::uint8_t format = NetworkSnapshot{}.encode()[0];
+  const auto hostile = [&](std::size_t zero_counts) {
+    ByteVector bytes(1 + 33 + zero_counts, 0);
+    bytes[0] = format;
+    std::uint64_t n = std::uint64_t{1} << 62;
+    while (n >= 0x80) {
+      bytes.push_back(static_cast<std::uint8_t>(n | 0x80));
+      n >>= 7;
+    }
+    bytes.push_back(static_cast<std::uint8_t>(n));
+    return bytes;
+  };
+  const ByteVector processes = hostile(0);
+  ASSERT_EQ(processes.size(), 43u);
+  EXPECT_THROW(NetworkSnapshot::decode({processes.data(), processes.size()}),
+               SerializationError);
+  // The same count in the channel position (zero processes before it).
+  const ByteVector channels = hostile(1);
+  EXPECT_THROW(NetworkSnapshot::decode({channels.data(), channels.size()}),
+               SerializationError);
 }
 
 // --- TraceContext + frame extension -----------------------------------------
@@ -737,35 +590,6 @@ TEST(Frames, RedirectContextIsOptionalOnTheWire) {
   EXPECT_EQ(prefix_copy.token, 77u);
 }
 
-// --- Tracer drop accounting --------------------------------------------------
-
-TEST(Tracer, DroppedSurfacesInSnapshotAndExportedMetadata) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable(8);
-  for (int i = 0; i < 20; ++i) tracer.record(TraceKind::kChannelWrite, "x");
-  tracer.disable();
-  EXPECT_EQ(tracer.recorded(), 20u);
-  EXPECT_EQ(tracer.dropped(), 12u);
-
-  NetworkSnapshot snap;
-  snap.fill_runtime_counters();
-  EXPECT_EQ(snap.trace_recorded, 20u);
-  EXPECT_EQ(snap.trace_dropped, 12u);
-
-  const std::string json = tracer.chrome_trace_json();
-  EXPECT_NE(json.find("\"recorded\":20"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":12"), std::string::npos);
-
-  const TraceExport exported = tracer.export_events();
-  EXPECT_EQ(exported.recorded, 20u);
-  EXPECT_EQ(exported.dropped, 12u);
-  const ByteVector bytes = exported.encode();
-  const TraceExport copy = TraceExport::decode({bytes.data(), bytes.size()});
-  EXPECT_EQ(copy.dropped, 12u);
-  ASSERT_EQ(copy.events.size(), 8u);
-  EXPECT_STREQ(copy.events[0].name, "x");
-}
-
 // --- STATS_STREAM + Prometheus (the live telemetry plane) -------------------
 
 TEST(Telemetry, StatsStreamDeliversExactlyCountedSnapshots) {
@@ -777,10 +601,7 @@ TEST(Telemetry, StatsStreamDeliversExactlyCountedSnapshots) {
       handle.stats_stream(std::chrono::milliseconds{10}, 3);
   ASSERT_TRUE(stream.valid());
   int frames = 0;
-  while (auto snap = stream.next()) {
-    EXPECT_EQ(snap->version, NetworkSnapshot::kVersion);
-    ++frames;
-  }
+  while (auto snap = stream.next()) ++frames;
   EXPECT_EQ(frames, 3);
   EXPECT_FALSE(stream.valid());  // clean end-of-stream consumed the socket
 }
@@ -805,7 +626,7 @@ TEST(Telemetry, PrometheusRenderingExposesCountersAndHistograms) {
   const std::string text = render_prometheus(snap);
   EXPECT_NE(text.find("dpn_processes_live 1"), std::string::npos);
   EXPECT_NE(text.find("dpn_connect_retries_total 2"), std::string::npos);
-  EXPECT_NE(text.find("dpn_trace_events_dropped_total 24"),
+  EXPECT_NE(text.find("dpn_flight_events_dropped_total 24"),
             std::string::npos);
   EXPECT_NE(text.find("dpn_task_rtt_seconds_count 50"), std::string::npos);
   EXPECT_NE(text.find("dpn_task_rtt_seconds_bucket"), std::string::npos);
@@ -843,12 +664,14 @@ TEST(Telemetry, PrometheusExporterAnswersHttpScrapes) {
 TEST(FleetTrace, TwoHostDynamicRunMergesOneCausalTimeline) {
   // The dynamic-balancing schema of Figure 17, really cut across two
   // in-process "hosts": each worker is shipped to its own ComputeServer
-  // and all task/result traffic crosses loopback TCP.  With tracing on,
-  // fleet_trace must merge the three rings (local + both servers) into
-  // one Chrome trace where a token's spans cross the host boundary with
-  // a flow arrow and the ship handshake forms a causally-linked pair.
+  // and all task/result traffic crosses loopback TCP.  With causal
+  // tracing on, fleet_trace must merge the three hosts' flight windows
+  // (local + both servers) into one Chrome trace where a token's spans
+  // cross the host boundary with a flow arrow and the ship handshake
+  // forms a causally-linked pair.
   constexpr std::size_t kWorkers = 2;
-  Tracer::instance().enable(1u << 16);
+  flight_reset();
+  set_causal_tracing(true);
 
   auto node = dist::NodeContext::create();
   std::vector<std::unique_ptr<rmi::ComputeServer>> servers;
@@ -898,29 +721,31 @@ TEST(FleetTrace, TwoHostDynamicRunMergesOneCausalTimeline) {
   composite->run();
   EXPECT_EQ(results_seen.load(), 6);
 
-  Tracer::instance().disable();
+  set_causal_tracing(false);
   const std::string json = rmi::fleet_trace(handles);
   for (auto& server : servers) server->stop();
 
   // Event-level causality: a ship.send on the local host answered by a
   // ship.recv on another host with the same span id, and a data span
   // (net.send/net.recv) whose two halves live on different hosts.
-  const std::vector<TraceEvent> events = Tracer::instance().drain();
-  std::map<std::uint64_t, std::uint32_t> ship_sends;
-  std::map<std::uint64_t, std::uint32_t> net_sends;
+  const std::vector<FlightEvent> events = flight_export().events;
+  std::map<std::uint64_t, std::uint16_t> ship_sends;
+  std::map<std::uint64_t, std::uint16_t> net_sends;
   bool ship_pair = false;
   bool net_pair = false;
-  for (const TraceEvent& event : events) {
-    if (event.kind == TraceKind::kShipSend) ship_sends[event.arg0] = event.node;
-    if (event.kind == TraceKind::kNetSend) net_sends[event.arg0] = event.node;
+  for (const FlightEvent& event : events) {
+    const auto kind = static_cast<FlightKind>(event.kind);
+    if (kind == FlightKind::kShipSend) ship_sends[event.a] = event.node;
+    if (kind == FlightKind::kNetSend) net_sends[event.a] = event.node;
   }
-  for (const TraceEvent& event : events) {
-    if (event.kind == TraceKind::kShipRecv) {
-      const auto it = ship_sends.find(event.arg0);
+  for (const FlightEvent& event : events) {
+    const auto kind = static_cast<FlightKind>(event.kind);
+    if (kind == FlightKind::kShipRecv) {
+      const auto it = ship_sends.find(event.a);
       if (it != ship_sends.end() && it->second != event.node) ship_pair = true;
     }
-    if (event.kind == TraceKind::kNetRecv) {
-      const auto it = net_sends.find(event.arg0);
+    if (kind == FlightKind::kNetRecv) {
+      const auto it = net_sends.find(event.a);
       if (it != net_sends.end() && it->second != event.node) net_pair = true;
     }
   }
@@ -930,7 +755,10 @@ TEST(FleetTrace, TwoHostDynamicRunMergesOneCausalTimeline) {
   // Merged JSON: one timeline, per-host pid rows, flow arrows both ways.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("dpn host 0 (local)"), std::string::npos);
-  EXPECT_NE(json.find("dpn host 1"), std::string::npos);
+  // Server tags count up per process, so name the first server's row
+  // exactly (tag 1 when the test runs alone, as ctest runs it).
+  EXPECT_NE(json.find("dpn host " + std::to_string(servers[0]->trace_tag())),
+            std::string::npos);
   EXPECT_NE(json.find("\"name\":\"ship.send\""), std::string::npos)
       << json.substr(0, 400);
   EXPECT_NE(json.find("\"name\":\"ship.recv\""), std::string::npos);
