@@ -19,12 +19,20 @@
 //
 // Runs in a forked child per configuration so a refused scheduler or a
 // crash cannot poison the next row.
+//
+//   mux_scale [--fibers-only] [channels ...]
+//
+// runs each channel count given (default 100 1000 10000 50000) and exits
+// 1 if any row fails to deliver its values.  A threads row starts two OS
+// threads per channel; pass --fibers-only for counts of 1000 and up.
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -144,7 +152,9 @@ Outcome run_isolated(std::size_t channels, sched::SchedulerOptions sched) {
   return outcome;
 }
 
-void print_row(std::size_t channels, const char* scheduler,
+/// Prints one table row; returns false if the run failed (a refusal is
+/// a result, not a failure).
+bool print_row(std::size_t channels, const char* scheduler,
                const Outcome& outcome) {
   std::printf("%8zu  %-11s", channels, scheduler);
   if (outcome.refused) {
@@ -164,11 +174,23 @@ void print_row(std::size_t channels, const char* scheduler,
     std::printf("\n");
   }
   std::fflush(stdout);
+  return outcome.refused || outcome.completed;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool with_threads = true;
+  std::vector<std::size_t> sizes;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--fibers-only") == 0) {
+      with_threads = false;
+    } else {
+      sizes.push_back(std::strtoull(argv[i], nullptr, 10));
+    }
+  }
+  if (sizes.empty()) sizes = {100, 1000, 10000, 50000};
+
   const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
   std::printf("mux_scale: %ld values split over N channels, one host pair "
               "(%u hardware threads)\n\n",
@@ -182,9 +204,12 @@ int main() {
   fibers.workers = nproc;
   fibers.stack_kb = 32;
 
-  for (const std::size_t channels : {100u, 1000u, 10000u, 50000u}) {
-    print_row(channels, "threads", run_isolated(channels, threads));
-    print_row(channels, "work-steal", run_isolated(channels, fibers));
+  bool ok = true;
+  for (const std::size_t channels : sizes) {
+    if (with_threads) {
+      ok &= print_row(channels, "threads", run_isolated(channels, threads));
+    }
+    ok &= print_row(channels, "work-steal", run_isolated(channels, fibers));
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -65,31 +65,39 @@ Hello read_hello(net::Stream& stream) {
 
 bool StreamPromise::fulfill(std::shared_ptr<net::Stream> stream,
                             PeerAddress dialer) {
-  {
-    std::scoped_lock lock{mutex_};
-    if (cancelled_ || fulfilled_) return false;
-    stream_ = std::move(stream);
-    dialer_ = std::move(dialer);
-    fulfilled_ = true;
-  }
-  cv_.notify_all();
+  std::scoped_lock lock{mutex_};
+  if (cancelled_ || fulfilled_) return false;
+  stream_ = std::move(stream);
+  dialer_ = std::move(dialer);
+  fulfilled_ = true;
+  wake_locked();
   return true;
 }
 
 std::shared_ptr<net::Stream> StreamPromise::wait() {
   std::unique_lock lock{mutex_};
-  cv_.wait(lock, [&] { return fulfilled_ || cancelled_; });
-  if (cancelled_ && !fulfilled_) {
-    throw NetError{"pending channel connection cancelled"};
+  while (!fulfilled_ && !cancelled_) {
+    if (sched::on_fiber()) {
+      sched::suspend_current(fibers_, lock);
+      lock.lock();
+    } else {
+      cv_.wait(lock);
+    }
   }
-  return std::move(stream_);
+  if (!fulfilled_) throw NetError{"pending channel connection cancelled"};
+  // A copy, not a move: an endpoint's writer and its close() may both be
+  // waiting for the same connection.
+  return stream_;
 }
 
 void StreamPromise::cancel() {
-  {
-    std::scoped_lock lock{mutex_};
-    cancelled_ = true;
-  }
+  std::scoped_lock lock{mutex_};
+  cancelled_ = true;
+  wake_locked();
+}
+
+void StreamPromise::wake_locked() {
+  while (sched::Fiber* fiber = fibers_.pop()) sched::make_runnable(fiber);
   cv_.notify_all();
 }
 

@@ -11,6 +11,7 @@
 
 #include "dist/weak_registry.hpp"
 #include "net/transport.hpp"
+#include "sched/fiber.hpp"
 #include "support/sync.hpp"
 
 /// Per-server infrastructure for distributed channels.
@@ -58,7 +59,10 @@ class StreamPromise {
   /// was cancelled, in which case the caller keeps the stream.
   bool fulfill(std::shared_ptr<net::Stream> stream, PeerAddress dialer);
 
-  /// Blocks until fulfilled or cancelled; throws NetError on cancel.
+  /// Blocks until fulfilled or cancelled; throws NetError on cancel.  On
+  /// an M:N fiber it parks the fiber, not its worker: the dial it waits
+  /// for may depend on another fiber of the same worker.  The caller
+  /// holds no lock of its own across the call.
   std::shared_ptr<net::Stream> wait();
 
   /// The dialer's rendezvous address; valid after wait() returns.
@@ -70,8 +74,12 @@ class StreamPromise {
   bool fulfilled() const;
 
  private:
+  /// Wakes both kinds of waiter, under mutex_.
+  void wake_locked();
+
   mutable std::mutex mutex_;
   std::condition_variable cv_;
+  sched::WaitQueue fibers_;
   std::shared_ptr<net::Stream> stream_;
   PeerAddress dialer_;
   bool fulfilled_ = false;

@@ -233,24 +233,41 @@ FrameChannelOutput::FrameChannelOutput(std::shared_ptr<StreamPromise> promise,
       promise_(std::move(promise)),
       pending_token_(token) {}
 
-void FrameChannelOutput::ensure_connected_locked() {
-  if (writer_) return;
-  stream_ = promise_->wait();
-  peer_ = promise_->dialer();
-  promise_.reset();
-  if (node_) node_->register_remote_stream(stream_);
-  writer_.emplace(std::make_shared<net::StreamOutput>(stream_));
+void FrameChannelOutput::ensure_connected(std::unique_lock<std::mutex>& lock) {
+  for (;;) {
+    if (closed_) throw IoError{"remote channel closed while connecting"};
+    if (writer_) return;
+    // mutex_ is released across the wait: a fiber must not park holding
+    // it, and connected() must not queue behind a consumer that has not
+    // dialed yet.
+    const std::shared_ptr<StreamPromise> promise = promise_;
+    std::shared_ptr<net::Stream> stream;
+    lock.unlock();
+    try {
+      stream = promise->wait();
+    } catch (...) {
+      lock.lock();
+      throw;
+    }
+    lock.lock();
+    if (writer_ || closed_) continue;  // another caller got here first
+    stream_ = std::move(stream);
+    peer_ = promise->dialer();
+    promise_.reset();
+    if (node_) node_->register_remote_stream(stream_);
+    writer_.emplace(std::make_shared<net::StreamOutput>(stream_));
+  }
 }
 
 void FrameChannelOutput::write(ByteSpan data) {
-  std::scoped_lock lock{mutex_};
+  std::unique_lock lock{mutex_};
   if (closed_) throw IoError{"write to closed remote channel"};
   TrafficStats* stats = node_ ? node_->traffic().get() : nullptr;
   {
     // Blocks while the stream's window is spent -- the cross-machine
     // equivalent of a full pipe.
     BlockedScope blocked{stats ? &stats->blocked_remote_writers : nullptr};
-    ensure_connected_locked();
+    ensure_connected(lock);
     for (std::size_t offset = 0; offset < data.size();) {
       const std::size_t chunk =
           std::min(kMaxFramePayload, data.size() - offset);
@@ -286,12 +303,12 @@ void FrameChannelOutput::finish_locked() {
 }
 
 void FrameChannelOutput::close() {
-  std::scoped_lock lock{mutex_};
+  std::unique_lock lock{mutex_};
   if (closed_) return;
   try {
     // Deliver FIN even if the consumer has not dialed in yet: the stream
     // contract promises the consumer an explicit end-of-stream.
-    ensure_connected_locked();
+    ensure_connected(lock);
     finish_locked();
   } catch (const IoError&) {
     // Consumer already gone; nothing to tell it.
@@ -300,8 +317,8 @@ void FrameChannelOutput::close() {
 }
 
 void FrameChannelOutput::connect_now() {
-  std::scoped_lock lock{mutex_};
-  ensure_connected_locked();
+  std::unique_lock lock{mutex_};
+  ensure_connected(lock);
 }
 
 bool FrameChannelOutput::connected() const {
@@ -310,9 +327,9 @@ bool FrameChannelOutput::connected() const {
 }
 
 void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
-  std::scoped_lock lock{mutex_};
+  std::unique_lock lock{mutex_};
   if (closed_) throw IoError{"redirect on closed remote channel"};
-  ensure_connected_locked();
+  ensure_connected(lock);
   net::RedirectInfo info;
   info.token = successor_token;
   if (obs::causal_tracing()) {

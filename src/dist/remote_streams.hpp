@@ -137,7 +137,9 @@ class FrameChannelOutput final : public io::OutputStream {
   void redirect_and_finish(std::uint64_t successor_token);
 
  private:
-  void ensure_connected_locked();
+  /// Waits for the consumer to dial in, releasing `lock` (on mutex_)
+  /// across the wait; returns, or throws, with it held again.
+  void ensure_connected(std::unique_lock<std::mutex>& lock);
   /// Ends the segment with the stream's FIN, queued behind our data.
   void finish_locked();
 

@@ -127,7 +127,10 @@ class MuxStream final : public Stream,
 
   // Stream interface -------------------------------------------------------
   std::size_t read_some(MutableByteSpan out) override;
-  void write_all(ByteSpan data) override;
+  void write_all(ByteSpan data) override { write_vectored(data, {}); }
+  /// `a` then `b` go straight into the tail chunk: a frame header and its
+  /// payload cost no gather buffer.
+  void write_vectored(ByteSpan a, ByteSpan b) override;
   bool wait_readable(std::chrono::milliseconds timeout) override;
   void shutdown_write() override;
   /// Sends RST unless the peer already finished: scoped to this logical
@@ -152,7 +155,8 @@ class MuxStream final : public Stream,
   void on_connection_dead(const std::string& why);
 
   // Flusher side: pops the next approved chunk; `more` reports whether
-  // the stream should stay in the ready ring.
+  // the stream should stay in the ready ring.  Clears queued_ when it
+  // leaves pending_ empty.
   bool take_chunk(Chunk& out, bool& more);
 
   std::uint32_t id() const { return id_; }
@@ -178,6 +182,10 @@ class MuxStream final : public Stream,
     }
     send_cv_.notify_all();
   }
+
+  /// Moves the first `n` bytes of `a` then `b` into pending_, filling the
+  /// tail chunk up to coalesce_ before starting a new one.
+  void append_locked(ByteSpan& a, ByteSpan& b, std::size_t n);
 
   /// Removes the stream from the connection's table once both directions
   /// are finished (no lock held on entry).
@@ -208,6 +216,11 @@ class MuxStream final : public Stream,
 
   // Outbound (writer appends under mutex_, flusher pops via take_chunk).
   std::deque<Chunk> pending_;
+  /// True exactly while the stream sits in the connection's ready ring or
+  /// the flusher holds it between popping it and take_chunk.  Only the
+  /// false -> true edge calls mark_ready: a write made while the stream is
+  /// queued just extends the tail chunk.
+  bool queued_ = false;
   std::int64_t send_window_;
   bool write_closed_ = false;  // FIN queued; further writes are a bug
   bool write_broken_ = false;  // peer RST: writes throw ChannelClosed
@@ -258,6 +271,8 @@ class MuxConnection final : public EventLoop::Handler,
  private:
   void register_with_loop();
   void request_flush();
+  /// Posts one flush to the loop; the caller just set flush_scheduled_.
+  void post_flush();
   void flush();            // loop thread
   void handle_readable();  // loop thread
   // Loop thread; a malformed or hostile frame throws NetError, which
@@ -285,8 +300,8 @@ class MuxConnection final : public EventLoop::Handler,
   // siblings on the shared connection.
   std::mutex send_mutex_;
   std::deque<ByteVector> control_;
+  /// Each stream at most once: its queued_ bit is the membership record.
   std::deque<std::shared_ptr<MuxStream>> ready_;
-  std::unordered_set<std::uint32_t> ready_ids_;
   bool flush_scheduled_ = false;
 
   // Loop-thread-only I/O state.
@@ -470,9 +485,9 @@ std::size_t MuxStream::read_some(MutableByteSpan out) {
   return n;
 }
 
-void MuxStream::write_all(ByteSpan data) {
-  while (!data.empty()) {
-    std::size_t take = 0;
+void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
+  while (!a.empty() || !b.empty()) {
+    bool enter = false;
     {
       std::unique_lock lock{mutex_};
       for (;;) {
@@ -509,34 +524,34 @@ void MuxStream::write_all(ByteSpan data) {
                     .count()),
             std::memory_order_relaxed);
       }
-      take = std::min({data.size(),
-                       static_cast<std::size_t>(send_window_), coalesce_});
+      const std::size_t take =
+          std::min({a.size() + b.size(),
+                    static_cast<std::size_t>(send_window_), coalesce_});
       send_window_ -= static_cast<std::int64_t>(take);
-      Chunk* tail = pending_.empty() ? nullptr : &pending_.back();
-      if (tail != nullptr && !tail->fin && tail->bytes.size() < coalesce_) {
-        // Coalesce small writes: the window was already claimed, so
-        // merging buffers only reduces frame count.
-        const std::size_t room = coalesce_ - tail->bytes.size();
-        const std::size_t merged = std::min(room, take);
-        tail->bytes.insert(tail->bytes.end(), data.begin(),
-                           data.begin() + static_cast<std::ptrdiff_t>(merged));
-        if (merged < take) {
-          Chunk chunk;
-          chunk.bytes.assign(data.begin() + static_cast<std::ptrdiff_t>(merged),
-                             data.begin() + static_cast<std::ptrdiff_t>(take));
-          pending_.push_back(std::move(chunk));
-        }
-      } else {
-        Chunk chunk;
-        chunk.bytes.assign(data.begin(),
-                           data.begin() + static_cast<std::ptrdiff_t>(take));
-        pending_.push_back(std::move(chunk));
-      }
-      data = data.subspan(take);
+      append_locked(a, b, take);
+      enter = !std::exchange(queued_, true);
     }
     // Outside mutex_: mark_ready may flush inline on the loop thread and
     // re-enter take_chunk, which locks mutex_.
-    conn_->mark_ready(shared_from_this());
+    if (enter) conn_->mark_ready(shared_from_this());
+  }
+}
+
+void MuxStream::append_locked(ByteSpan& a, ByteSpan& b, std::size_t n) {
+  while (n > 0) {
+    // Coalesce small writes: the window was already claimed, so merging
+    // buffers only reduces frame count.
+    if (pending_.empty() || pending_.back().fin ||
+        pending_.back().bytes.size() >= coalesce_) {
+      pending_.emplace_back();
+    }
+    ByteVector& tail = pending_.back().bytes;
+    ByteSpan& from = a.empty() ? b : a;
+    const std::size_t m = std::min({n, from.size(), coalesce_ - tail.size()});
+    tail.insert(tail.end(), from.begin(),
+                from.begin() + static_cast<std::ptrdiff_t>(m));
+    from = from.subspan(m);
+    n -= m;
   }
 }
 
@@ -572,6 +587,7 @@ bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
 }
 
 void MuxStream::shutdown_write() {
+  bool enter = false;
   {
     std::unique_lock lock{mutex_};
     if (write_closed_) return;
@@ -581,9 +597,10 @@ void MuxStream::shutdown_write() {
       Chunk fin;
       fin.fin = true;
       pending_.push_back(std::move(fin));
+      enter = !std::exchange(queued_, true);
     }
   }
-  conn_->mark_ready(shared_from_this());
+  if (enter) conn_->mark_ready(shared_from_this());
   maybe_retire();
 }
 
@@ -677,14 +694,16 @@ void MuxStream::on_connection_dead(const std::string& why) {
 
 bool MuxStream::take_chunk(Chunk& out, bool& more) {
   std::unique_lock lock{mutex_};
-  if (pending_.empty()) {
-    more = false;
-    return false;
+  // Empty when an RST or the connection's death cleared pending_ while
+  // the stream sat in the ring.
+  const bool got = !pending_.empty();
+  if (got) {
+    out = std::move(pending_.front());
+    pending_.pop_front();
   }
-  out = std::move(pending_.front());
-  pending_.pop_front();
   more = !pending_.empty();
-  return true;
+  queued_ = more;
+  return got;
 }
 
 void MuxStream::maybe_retire() {
@@ -754,13 +773,16 @@ std::shared_ptr<MuxStream> MuxConnection::open_stream(std::size_t window,
 }
 
 void MuxConnection::mark_ready(std::shared_ptr<MuxStream> stream) {
+  bool post = false;
   {
     std::scoped_lock lock{send_mutex_};
-    if (ready_ids_.insert(stream->id()).second) {
-      ready_.push_back(std::move(stream));
-    }
+    // die() clears the ring after setting dead_: a stream pushed past that
+    // point would pin this connection through its conn_ forever.
+    if (dead()) return;
+    ready_.push_back(std::move(stream));
+    post = !std::exchange(flush_scheduled_, true);
   }
-  request_flush();
+  if (post) post_flush();
 }
 
 void MuxConnection::push_control(ByteVector frame) {
@@ -803,20 +825,19 @@ void MuxConnection::request_flush() {
   bool post = false;
   {
     std::scoped_lock lock{send_mutex_};
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      post = true;
+    post = !std::exchange(flush_scheduled_, true);
+  }
+  if (post) post_flush();
+}
+
+void MuxConnection::post_flush() {
+  loop_.post([self = shared_from_this()] {
+    {
+      std::scoped_lock lock{self->send_mutex_};
+      self->flush_scheduled_ = false;
     }
-  }
-  if (post) {
-    loop_.post([self = shared_from_this()] {
-      {
-        std::scoped_lock lock{self->send_mutex_};
-        self->flush_scheduled_ = false;
-      }
-      self->flush();
-    });
-  }
+    self->flush();
+  });
 }
 
 void MuxConnection::on_io(std::uint32_t events) {
@@ -875,14 +896,18 @@ void MuxConnection::flush() {
       if (!ready_.empty()) {
         stream = std::move(ready_.front());
         ready_.pop_front();
-        ready_ids_.erase(stream->id());
       }
     }
     if (!stream) return;  // nothing left to send
     MuxStream::Chunk chunk;
     bool more = false;
     const bool got = stream->take_chunk(chunk, more);
-    if (more) mark_ready(stream);
+    if (more) {
+      // Still queued: back to the tail of the ring, behind its siblings.
+      // This loop drains the ring, so no flush needs posting.
+      std::scoped_lock lock{send_mutex_};
+      ready_.push_back(stream);
+    }
     if (!got) continue;
     if (chunk.fin) {
       append_header(out_buf_, stream->id(), MuxFrame::kFin, 0);
@@ -1035,7 +1060,6 @@ void MuxConnection::die(const std::string& why) {
     std::scoped_lock lock{send_mutex_};
     control_.clear();
     ready_.clear();
-    ready_ids_.clear();
   }
   counters().connections.fetch_sub(1, std::memory_order_relaxed);
   transport_.forget(shared_from_this());

@@ -44,7 +44,11 @@
 ///
 /// Fairness: each connection flushes its ready streams round-robin, one
 /// chunk (<= NetworkOptions::coalesce_bytes) per turn, so one hot stream
-/// cannot starve its siblings on the shared connection.
+/// cannot starve its siblings on the shared connection.  A stream enters
+/// the ready ring once per flush cycle: the write that finds it idle
+/// queues it, and writes made before the flusher takes its last chunk
+/// only extend its tail chunk under the stream's own lock, never the
+/// connection's.
 namespace dpn::net {
 
 /// Aggregate counters of the mux backend (all zero when it is unused).

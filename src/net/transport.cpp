@@ -1,19 +1,8 @@
 #include "net/transport.hpp"
 
 #include "obs/metrics.hpp"
-#include "support/bytes.hpp"
 
 namespace dpn::net {
-
-void Stream::write_vectored(ByteSpan a, ByteSpan b) {
-  // Generic gather: one temporary so the two parts stay one unit even on
-  // transports without a native scatter write.
-  ByteVector merged;
-  merged.reserve(a.size() + b.size());
-  merged.insert(merged.end(), a.begin(), a.end());
-  merged.insert(merged.end(), b.begin(), b.end());
-  write_all({merged.data(), merged.size()});
-}
 
 NetworkOptions& network_options() {
   static NetworkOptions* options = new NetworkOptions;

@@ -38,9 +38,9 @@ class Stream {
   /// NetError on hard transport failure.
   virtual void write_all(ByteSpan data) = 0;
 
-  /// Writes `a` then `b` as one unit (frame header + payload); leaf
-  /// transports gather instead of copying.
-  virtual void write_vectored(ByteSpan a, ByteSpan b);
+  /// Writes `a` then `b` as one unit (frame header + payload) without
+  /// first copying them into one buffer.
+  virtual void write_vectored(ByteSpan a, ByteSpan b) = 0;
 
   /// Blocks until a read would make progress (data, EOF or error pending)
   /// or the timeout elapses; false on timeout.

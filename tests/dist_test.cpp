@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <iostream>
 #include <optional>
 #include <thread>
@@ -85,6 +86,130 @@ TEST(Rendezvous, TokensAreUnique) {
   EXPECT_EQ(tokens.size(), 1000u);
 }
 
+// --- Pending connections under M:N ---------------------------------------------
+//
+// An endpoint whose peer has not dialed yet waits on a StreamPromise.  On
+// a fiber that wait parks the fiber, not its worker: with one worker, the
+// fiber whose progress triggers the dial runs only if the waiter let go.
+// A miss fails within the bound instead of hanging: forgetting the token
+// cancels the promise, which frees a pinned worker.
+
+constexpr auto kPendingBound = std::chrono::seconds{10};
+
+sched::SchedulerOptions one_worker() {
+  sched::SchedulerOptions options;
+  options.mode = sched::SchedMode::kWorkSteal;
+  options.workers = 1;
+  return options;
+}
+
+TEST(PendingConnection, ConsumerFiberWaitDoesNotPinItsWorker) {
+  auto consumer_node = NodeContext::create();
+  auto producer_node = NodeContext::create();
+  const std::uint64_t token = consumer_node->next_token();
+  auto input = std::make_shared<FrameChannelInput>(
+      consumer_node->rendezvous().expect(token), token, consumer_node);
+
+  sched::Scheduler scheduler{one_worker()};
+  std::promise<std::int64_t> received;
+  std::promise<void> trigger;
+  scheduler.spawn(
+      [&] {
+        try {
+          io::DataInputStream in{input};
+          received.set_value(in.read_i64());
+        } catch (const std::exception&) {
+          received.set_value(-1);
+        }
+      },
+      "consumer");
+  scheduler.spawn([&] { trigger.set_value(); }, "trigger");
+  std::jthread producer{[&] {
+    if (trigger.get_future().wait_for(kPendingBound) !=
+        std::future_status::ready) {
+      return;
+    }
+    try {
+      auto out = std::make_shared<FrameChannelOutput>(
+          RendezvousService::dial("127.0.0.1",
+                                  consumer_node->rendezvous().port(), token,
+                                  producer_node->address()),
+          consumer_node->address());
+      io::DataOutputStream data{out};
+      data.write_i64(42);
+      out->close();
+    } catch (const IoError&) {
+      // The consumer gave up first; its failure is reported below.
+    }
+  }};
+
+  auto result = received.get_future();
+  const bool finished =
+      result.wait_for(kPendingBound) == std::future_status::ready;
+  if (!finished) consumer_node->rendezvous().forget(token);
+  EXPECT_TRUE(finished) << "the waiting consumer pinned the only worker";
+  EXPECT_EQ(result.get(), finished ? 42 : -1);
+  scheduler.shutdown();
+}
+
+TEST(PendingConnection, ProducerFiberWaitDoesNotPinItsWorker) {
+  auto producer_node = NodeContext::create();
+  auto consumer_node = NodeContext::create();
+  const std::uint64_t token = producer_node->next_token();
+  auto output = std::make_shared<FrameChannelOutput>(
+      producer_node->rendezvous().expect(token), token, producer_node);
+
+  sched::Scheduler scheduler{one_worker()};
+  std::promise<bool> sent;
+  std::promise<void> trigger;
+  scheduler.spawn(
+      [&] {
+        try {
+          io::DataOutputStream out{output};
+          out.write_i64(42);
+          output->close();
+          sent.set_value(true);
+        } catch (const IoError&) {
+          sent.set_value(false);
+        }
+      },
+      "producer");
+  scheduler.spawn([&] { trigger.set_value(); }, "trigger");
+  std::promise<std::int64_t> received;
+  std::jthread consumer{[&] {
+    if (trigger.get_future().wait_for(kPendingBound) !=
+        std::future_status::ready) {
+      received.set_value(-1);
+      return;
+    }
+    try {
+      auto stream =
+          RendezvousService::dial("127.0.0.1",
+                                  producer_node->rendezvous().port(), token,
+                                  consumer_node->address());
+      // Bounded: after a miss the token is forgotten and no one writes.
+      if (!stream->wait_readable(kPendingBound)) {
+        received.set_value(-1);
+        return;
+      }
+      io::DataInputStream data{
+          std::make_shared<FrameChannelInput>(stream, consumer_node)};
+      received.set_value(data.read_i64());
+    } catch (const IoError&) {
+      received.set_value(-1);
+    }
+  }};
+
+  auto done = sent.get_future();
+  const bool finished =
+      done.wait_for(kPendingBound) == std::future_status::ready;
+  if (!finished) producer_node->rendezvous().forget(token);
+  EXPECT_TRUE(finished) << "the waiting producer pinned the only worker";
+  EXPECT_EQ(done.get(), finished);
+  EXPECT_EQ(received.get_future().get(), finished ? 42 : -1);
+  scheduler.shutdown();
+}
+
 // --- Node registries ------------------------------------------------------------
 
 constexpr std::size_t kPruneSlack = WeakRegistry<int>::kMinPrune;
@@ -130,6 +255,9 @@ class RecordingStream final : public net::Stream {
  public:
   std::size_t read_some(MutableByteSpan) override { return 0; }
   void write_all(ByteSpan data) override { written += data.size(); }
+  void write_vectored(ByteSpan a, ByteSpan b) override {
+    written += a.size() + b.size();
+  }
   bool wait_readable(std::chrono::milliseconds) override { return true; }
   void shutdown_write() override { write_shut = true; }
   void shutdown_read() override { read_shut = true; }

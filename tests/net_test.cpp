@@ -2,9 +2,11 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "io/memory.hpp"
 #include "net/event_loop.hpp"
@@ -487,6 +489,16 @@ TEST(Reactor, FiberWaitReadableTimesOutWithoutStallingWorker) {
 // for the stream, so a value of 0 or above kMaxStreamWindow must kill the
 // connection before anything is built from it.
 
+/// Sends a raw OPEN frame for `stream_id` announcing `window`.
+void send_open(Socket& raw, std::uint32_t stream_id, std::uint32_t window) {
+  std::uint8_t frame[9 + 4];
+  put_u32(frame, stream_id);
+  frame[4] = 0;  // OPEN
+  put_u32(frame + 5, 4);
+  put_u32(frame + 9, window);
+  raw.write_all({frame, sizeof frame});
+}
+
 /// Dials a mux listener with a raw socket, exchanges prefaces
 /// (docs/PROTOCOLS.md Section 8: 'DPNM', version 2) and sends one OPEN
 /// announcing `window`.
@@ -499,14 +511,11 @@ Socket open_raw_stream(const Listener& listener, std::uint32_t window) {
     got += n;
   }
   EXPECT_EQ(get_u32(preface), 0x44504E4Du);
-  std::uint8_t bytes[5 + 9 + 4];
+  std::uint8_t bytes[5];
   put_u32(bytes, 0x44504E4D);
   bytes[4] = 2;
-  put_u32(bytes + 5, 1);  // stream id
-  bytes[9] = 0;           // OPEN
-  put_u32(bytes + 10, 4);
-  put_u32(bytes + 14, window);
   raw.write_all({bytes, sizeof bytes});
+  send_open(raw, 1, window);
   return raw;
 }
 
@@ -565,6 +574,251 @@ TEST(MuxHostile, RetiredDataTracedTypeKillsTheConnection) {
   EXPECT_TRUE(dropped_within(raw, std::chrono::seconds{10}));
   std::uint8_t byte = 0;
   EXPECT_THROW(stream->read_some({&byte, 1}), NetError);
+}
+
+// --- Mux ready ring ----------------------------------------------------------------
+//
+// A stream enters its connection's ready ring once per flush cycle: the
+// write that finds it idle queues it, and writes in between only extend
+// its tail chunk.  Waits are bounded, so a stranded chunk fails a test
+// instead of hanging it.
+
+constexpr auto kArrivalBound = std::chrono::seconds{10};
+
+/// Reads exactly out.size() bytes; false on EOF, on a wait past
+/// kArrivalBound or on a transport error.
+bool read_exact(Stream& stream, MutableByteSpan out) {
+  try {
+    for (std::size_t got = 0; got < out.size();) {
+      if (!stream.wait_readable(kArrivalBound)) return false;
+      const std::size_t n = stream.read_some(out.subspan(got));
+      if (n == 0) return false;
+      got += n;
+    }
+    return true;
+  } catch (const IoError&) {
+    return false;
+  }
+}
+
+TEST(MuxReadyRing, ManyStreamsWithConcurrentSmallWritersArriveInOrder) {
+  constexpr std::size_t kStreams = 32;
+  constexpr std::size_t kWriters = 8;  // each drives kStreams / kWriters
+  constexpr std::uint32_t kTokens = 2000;
+  auto listener = default_transport().listen(0);
+  // A small window makes writers stall and resume on credit as well.
+  DialOptions options;
+  options.stream_window = 1024;
+  std::vector<std::shared_ptr<Stream>> dialed;
+  std::vector<std::shared_ptr<Stream>> accepted;
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    dialed.push_back(
+        default_transport().dial("127.0.0.1", listener->port(), options));
+    accepted.push_back(listener->accept());
+  }
+
+  // Token = stream index << 32 | sequence number, one 8-byte write each.
+  std::vector<std::jthread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      try {
+        for (std::uint32_t seq = 0; seq < kTokens; ++seq) {
+          for (std::size_t i = w; i < kStreams; i += kWriters) {
+            std::uint8_t token[8];
+            put_u64(token, (std::uint64_t{i} << 32) | seq);
+            dialed[i]->write_all({token, sizeof token});
+          }
+        }
+        for (std::size_t i = w; i < kStreams; i += kWriters) {
+          dialed[i]->shutdown_write();
+        }
+      } catch (const IoError&) {
+        // A reader gave up and reset its stream; it reports the failure.
+      }
+    });
+  }
+
+  struct Seen {
+    std::uint64_t stream = ~std::uint64_t{0};
+    std::uint32_t tokens = 0;
+    bool in_order = true;
+    bool fin_after_data = false;
+  };
+  std::vector<Seen> seen(kStreams);
+  {
+    std::vector<std::jthread> readers;
+    for (std::size_t j = 0; j < kStreams; ++j) {
+      readers.emplace_back([&, j] {
+        Seen& mine = seen[j];
+        std::uint8_t token[8];
+        while (read_exact(*accepted[j], {token, sizeof token})) {
+          const std::uint64_t value = get_u64(token);
+          if (mine.tokens == 0) mine.stream = value >> 32;
+          mine.in_order &= (value >> 32) == mine.stream &&
+                           (value & 0xFFFFFFFF) == mine.tokens;
+          ++mine.tokens;
+        }
+        // The loop ended at EOF (FIN after the data read so far) or at a
+        // timeout, which leaves the stream open: reset it then, to free
+        // its writer.
+        std::uint8_t probe = 0;
+        try {
+          mine.fin_after_data =
+              accepted[j]->wait_readable(std::chrono::milliseconds{0}) &&
+              accepted[j]->read_some({&probe, 1}) == 0;
+        } catch (const IoError&) {
+        }
+        if (!mine.fin_after_data) accepted[j]->close();
+      });
+    }
+  }
+  writers.clear();
+
+  std::vector<bool> streams_seen(kStreams, false);
+  for (std::size_t j = 0; j < kStreams; ++j) {
+    EXPECT_EQ(seen[j].tokens, kTokens) << "accepted stream " << j;
+    EXPECT_TRUE(seen[j].in_order) << "accepted stream " << j;
+    EXPECT_TRUE(seen[j].fin_after_data) << "accepted stream " << j;
+    if (seen[j].stream < kStreams) streams_seen[seen[j].stream] = true;
+  }
+  EXPECT_EQ(std::count(streams_seen.begin(), streams_seen.end(), true),
+            static_cast<std::ptrdiff_t>(kStreams));
+}
+
+TEST(MuxReadyRing, WriteAfterTheFlusherDrainedTheRingIsDelivered) {
+  // Ping-pong: every write lands after the flusher took the stream's
+  // previous (and last) chunk, so each one must queue the stream anew.
+  auto listener = default_transport().listen(0);
+  auto a = default_transport().dial("127.0.0.1", listener->port());
+  auto b = listener->accept();
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    std::uint8_t ping = static_cast<std::uint8_t>(i);
+    a->write_all({&ping, 1});
+    std::uint8_t got = 0;
+    ASSERT_TRUE(read_exact(*b, {&got, 1})) << "ping " << i << " stranded";
+    ASSERT_EQ(got, ping);
+    b->write_all({&got, 1});
+    ASSERT_TRUE(read_exact(*a, {&got, 1})) << "pong " << i << " stranded";
+    ASSERT_EQ(got, ping);
+  }
+}
+
+TEST(MuxReadyRing, RstWhileQueuedDoesNotWedgeTheRing) {
+  auto listener = default_transport().listen(0);
+  // A window far above what the test sends: the hot writer never stalls,
+  // so its stream stays queued with chunks pending when the RST lands.
+  DialOptions options;
+  options.stream_window = std::size_t{16} << 20;
+  auto hot = default_transport().dial("127.0.0.1", listener->port(), options);
+  auto sibling = default_transport().dial("127.0.0.1", listener->port());
+  auto hot_peer = listener->accept();
+  auto sibling_peer = listener->accept();
+
+  std::promise<bool> writer_closed;
+  std::jthread writer{[&] {
+    const ByteVector token(8, 0x5A);
+    try {
+      for (std::size_t sent = 0; sent < options.stream_window;
+           sent += token.size()) {
+        hot->write_all({token.data(), token.size()});
+      }
+      writer_closed.set_value(false);  // never saw the reset
+    } catch (const ChannelClosed&) {
+      writer_closed.set_value(true);
+    } catch (const IoError&) {
+      writer_closed.set_value(false);
+    }
+  }};
+  ByteVector some(64 << 10);
+  ASSERT_TRUE(read_exact(*hot_peer, {some.data(), some.size()}));
+  hot_peer->shutdown_read();  // RST to the hot writer
+
+  auto closed = writer_closed.get_future();
+  const bool woke = closed.wait_for(kArrivalBound) == std::future_status::ready;
+  if (!woke) hot->shutdown_write();  // frees the writer: fail, not hang
+  ASSERT_TRUE(woke) << "hot writer never saw the RST";
+  EXPECT_TRUE(closed.get());
+
+  // The ring still turns: the sibling and a stream opened after the RST
+  // both deliver, with the reset stream's FIN queued among them.
+  hot->shutdown_write();
+  auto late = default_transport().dial("127.0.0.1", listener->port());
+  auto late_peer = listener->accept();
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    std::uint8_t byte = static_cast<std::uint8_t>(i);
+    sibling->write_all({&byte, 1});
+    late->write_all({&byte, 1});
+    std::uint8_t got = 0;
+    ASSERT_TRUE(read_exact(*sibling_peer, {&got, 1})) << i;
+    EXPECT_EQ(got, byte);
+    ASSERT_TRUE(read_exact(*late_peer, {&got, 1})) << i;
+    EXPECT_EQ(got, byte);
+  }
+}
+
+TEST(MuxReadyRing, HotBacklogDoesNotStarveASiblingsSingleWrite) {
+  // A raw dialer reads the wire itself, so arrival order is exact: the
+  // listener's two streams are a hot one with a large backlog queued
+  // first and a sibling that writes one byte after it.
+  constexpr std::size_t kBacklog = std::size_t{16} << 20;
+  auto listener = default_transport().listen(0);
+  Socket raw = open_raw_stream(*listener, static_cast<std::uint32_t>(kBacklog));
+  // A small fixed receive buffer keeps most of the backlog on the
+  // sender's side (a loopback buffer left to autotune can hold it all).
+  const int rcvbuf = 64 << 10;
+  ASSERT_EQ(setsockopt(raw.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof rcvbuf),
+            0);
+  send_open(raw, 2, 1024);
+  auto hot = listener->accept();
+  auto sibling = listener->accept();
+
+  const ByteVector backlog(kBacklog, 0xAB);
+  hot->write_all({backlog.data(), backlog.size()});
+  hot->shutdown_write();
+  const std::uint8_t byte = 0x42;
+  sibling->write_all({&byte, 1});
+
+  // Walk the frames: count hot DATA bytes before and after the sibling's.
+  std::size_t hot_before = 0;
+  std::size_t hot_after = 0;
+  bool sibling_seen = false;
+  bool hot_fin = false;
+  ByteVector payload;
+  while (!hot_fin || !sibling_seen) {
+    std::uint8_t header[9];
+    for (std::size_t got = 0; got < sizeof header;) {
+      ASSERT_TRUE(raw.wait_readable(kArrivalBound));
+      const std::size_t n = raw.read_some({header + got, sizeof header - got});
+      ASSERT_GT(n, 0u);
+      got += n;
+    }
+    const std::uint32_t id = get_u32(header);
+    const std::uint8_t type = header[4];
+    payload.resize(get_u32(header + 5));
+    for (std::size_t got = 0; got < payload.size();) {
+      ASSERT_TRUE(raw.wait_readable(kArrivalBound));
+      const std::size_t n =
+          raw.read_some({payload.data() + got, payload.size() - got});
+      ASSERT_GT(n, 0u);
+      got += n;
+    }
+    if (type == 1 && id == 1) {
+      (sibling_seen ? hot_after : hot_before) += payload.size();
+    } else if (type == 1 && id == 2) {
+      ASSERT_EQ(payload.size(), 1u);
+      EXPECT_EQ(payload[0], byte);
+      EXPECT_FALSE(hot_fin) << "the sibling waited for the whole backlog";
+      sibling_seen = true;
+    } else if (type == 4 && id == 1) {
+      hot_fin = true;
+    }
+  }
+  EXPECT_EQ(hot_before + hot_after, kBacklog);
+  // Round-robin: the sibling's one chunk goes out next to one hot chunk,
+  // so most of the backlog that had not reached the socket follows it.
+  EXPECT_GE(hot_after, kBacklog / 4)
+      << hot_before << " hot bytes went out before the sibling's one";
 }
 
 TEST(Frames, OverSocketEndToEnd) {
